@@ -70,6 +70,7 @@
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_base::Catalog;
@@ -332,10 +333,9 @@ fn bench_cross_catalog(config: &Config) -> CrossCatalogReport {
     let mut warm_executed = 0;
     let start = Instant::now();
     for _ in 0..config.iters {
-        let engine = Engine::from_config(
-            EngineConfig::new()
-                .cache(viewcap_engine::load_cache(&merged, None).expect("merged cache loads")),
-        )
+        let engine = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(
+            viewcap_engine::load_cache(&merged, None).expect("merged cache loads"),
+        )))
         .unwrap();
         let outcome = engine.run_batch(&pworkload, &pcat, 1);
         warm_verdicts = outcome
@@ -916,7 +916,7 @@ struct SpacePersistenceReport {
 /// the gap is purely enumeration rebuild vs hydration), plus the same
 /// snapshot driving the workload on a permuted catalog.
 fn bench_space_persistence(config: &Config) -> SpacePersistenceReport {
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
     use viewcap_engine::SpaceLibrary;
 
     let (cat, view, goals) = space_workload_ordered(false);

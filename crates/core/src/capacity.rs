@@ -407,10 +407,11 @@ impl ClosureContext {
     /// Enumerate every candidate construction over the query set with at
     /// most `max_atoms` skeleton atoms — all roots of the shared space, no
     /// goal filter — each with its substituted template over the underlying
-    /// schema. `crate::closure::ClosureContext::for_each_member` builds the
+    /// schema. `crate::closure::ClosureContext::members` builds the
     /// deduplicated closure frontier on top; routing through the context
     /// shares the lazily extended space across repeated frontier sweeps
-    /// (the scenario `diff` command grows `k` against one context this way).
+    /// and with the membership probes of the same query set (the engine's
+    /// pooled `frontier`/`diff` path).
     pub fn for_each_substitution(
         &mut self,
         max_atoms: usize,

@@ -96,38 +96,22 @@ pub fn closure_members(
 }
 
 impl ClosureContext {
-    /// Enumerate the bounded closure frontier through this shared context —
-    /// identical members, in the identical order, to
-    /// [`for_each_closure_member`] over the same query set, but reusing the
-    /// context's lazily extended candidate space across sweeps (repeated or
-    /// growing-`k` frontier requests pay only the incremental levels).
-    pub fn for_each_member(
-        &mut self,
-        max_atoms: usize,
-        f: &mut dyn FnMut(&ClosureMember) -> ControlFlow<()>,
-    ) -> Result<(), SearchOverflow> {
-        let mut seen: Vec<Query> = Vec::new();
+    /// Collect the bounded closure frontier through this shared context —
+    /// identical members, in the identical order, to [`closure_members`]
+    /// over the same query set, but reusing the context's lazily extended
+    /// candidate space across sweeps (repeated or growing-`k` frontier
+    /// requests pay only the incremental levels).
+    pub fn members(&mut self, max_atoms: usize) -> Result<Vec<ClosureMember>, SearchOverflow> {
+        let mut out: Vec<ClosureMember> = Vec::new();
         self.for_each_substitution(max_atoms, &mut |expr, _skel, sub| {
             let member = Query::from_template(&sub.result);
-            if seen.iter().any(|s| s.equiv(&member)) {
-                return ControlFlow::Continue(());
+            if !out.iter().any(|m| m.query.equiv(&member)) {
+                out.push(ClosureMember {
+                    query: member,
+                    skeleton: expr.clone(),
+                    construction_size: expr.atom_count(),
+                });
             }
-            seen.push(member.clone());
-            f(&ClosureMember {
-                query: member,
-                skeleton: expr.clone(),
-                construction_size: expr.atom_count(),
-            })
-        })?;
-        Ok(())
-    }
-
-    /// Collect the bounded frontier as a vector (see
-    /// [`ClosureContext::for_each_member`]).
-    pub fn members(&mut self, max_atoms: usize) -> Result<Vec<ClosureMember>, SearchOverflow> {
-        let mut out = Vec::new();
-        self.for_each_member(max_atoms, &mut |m| {
-            out.push(m.clone());
             ControlFlow::Continue(())
         })?;
         Ok(out)
@@ -136,8 +120,7 @@ impl ClosureContext {
 
 /// The capacity-frontier diff between two view versions: which bounded
 /// frontier members one version exposes and the other does not, by query
-/// equivalence. Equals the set difference of two independent
-/// [`closure_members`] sweeps — the `diff` conformance suite pins this.
+/// equivalence ([`frontier_diff`]).
 #[derive(Clone, Debug, Default)]
 pub struct FrontierDiff {
     /// Members derivable from the left version only (capabilities *lost*
@@ -157,33 +140,25 @@ impl FrontierDiff {
     }
 }
 
-/// Diff the bounded capacity frontiers of two versions through their shared
-/// contexts. Each context amortizes its candidate space across calls, so
-/// re-diffing the same version pair (or growing `max_atoms`) pays only the
-/// incremental enumeration.
-pub fn frontier_diff(
-    left: &mut ClosureContext,
-    right: &mut ClosureContext,
-    max_atoms: usize,
-) -> Result<FrontierDiff, SearchOverflow> {
-    let lm = left.members(max_atoms)?;
-    let rm = right.members(max_atoms)?;
-    let only_left: Vec<ClosureMember> = lm
-        .iter()
-        .filter(|m| !rm.iter().any(|n| n.query.equiv(&m.query)))
-        .cloned()
-        .collect();
-    let only_right: Vec<ClosureMember> = rm
-        .iter()
-        .filter(|m| !lm.iter().any(|n| n.query.equiv(&m.query)))
-        .cloned()
-        .collect();
-    let common = lm.len() - only_left.len();
-    Ok(FrontierDiff {
+/// Diff two bounded capacity frontiers (each as enumerated at the same
+/// atom bound): the set difference by query equivalence, in each side's
+/// enumeration order. Pure — the enumeration, and any sharing of it, is
+/// the caller's.
+pub fn frontier_diff(left: &[ClosureMember], right: &[ClosureMember]) -> FrontierDiff {
+    let only = |these: &[ClosureMember], those: &[ClosureMember]| -> Vec<ClosureMember> {
+        these
+            .iter()
+            .filter(|m| !those.iter().any(|n| n.query.equiv(&m.query)))
+            .cloned()
+            .collect()
+    };
+    let only_left = only(left, right);
+    let only_right = only(right, left);
+    FrontierDiff {
+        common: left.len() - only_left.len(),
         only_left,
         only_right,
-        common,
-    })
+    }
 }
 
 /// Audit a view: the pairwise-inequivalent queries its users can answer
@@ -293,11 +268,9 @@ mod tests {
         let budget = SearchBudget::default();
         let old = [q(&cat, "pi{A,B}(R)"), q(&cat, "pi{B,C}(R)")];
         let new = [q(&cat, "pi{A,B}(R)")];
-        let mut left = ClosureContext::new(&old, &cat, &budget);
-        let mut right = ClosureContext::new(&new, &cat, &budget);
-        let diff = frontier_diff(&mut left, &mut right, 2).unwrap();
         let lm = closure_members(&old, 2, &cat, &budget).unwrap();
         let rm = closure_members(&new, 2, &cat, &budget).unwrap();
+        let diff = frontier_diff(&lm, &rm);
         let expect_left: Vec<&ClosureMember> = lm
             .iter()
             .filter(|m| !rm.iter().any(|n| n.query.equiv(&m.query)))
@@ -319,8 +292,7 @@ mod tests {
         assert!(!diff.only_left.is_empty());
         assert!(diff.only_right.is_empty());
         // A version diffed against itself is empty.
-        let mut same = ClosureContext::new(&old, &cat, &budget);
-        let refl = frontier_diff(&mut left, &mut same, 2).unwrap();
+        let refl = frontier_diff(&lm, &lm);
         assert!(refl.is_empty());
         assert_eq!(refl.common, lm.len());
     }

@@ -9,9 +9,8 @@
 //! that surface, so it is gone.
 //!
 //! [`EngineConfig`] is the single description of an engine: search budget,
-//! cache source (bound, file, pile, or a shared handle), candidate-space
-//! library (file or shared handle), and the worker count batches should
-//! run under. Two ways to consume it:
+//! cache source (bound, file, pile, or a shared handle), and candidate-space
+//! library (file or shared handle). Two ways to consume it:
 //!
 //! * [`Engine::from_config`] — build the engine and discard the
 //!   provenance. File- and pile-backed sources load eagerly (a corrupt
@@ -25,7 +24,7 @@
 //! ```
 //! use viewcap_engine::{Engine, EngineConfig};
 //! # use viewcap_core::SearchBudget;
-//! let engine = Engine::from_config(EngineConfig::new().jobs(4)).unwrap();
+//! let engine = Engine::from_config(EngineConfig::new().cache_max(Some(1000))).unwrap();
 //! assert_eq!(engine.cache_stats().entries, 0);
 //! ```
 
@@ -42,9 +41,9 @@ use viewcap_core::SearchBudget;
 
 /// Everything an [`Engine`] can be built from, in one builder.
 ///
-/// At most one *cache source* may be set: [`EngineConfig::cache`] (an
-/// owned, pre-built cache), [`EngineConfig::shared_cache`] (a handle
-/// shared with other engines), [`EngineConfig::cache_file`] (load from /
+/// At most one *cache source* may be set: [`EngineConfig::shared_cache`]
+/// (a pre-built cache, possibly shared with other engines),
+/// [`EngineConfig::cache_file`] (load from /
 /// save to a `.vcapcache` file), or [`EngineConfig::pile`] (load from /
 /// append to a crash-safe pile). [`EngineConfig::cache_max`] composes
 /// with the file/pile sources and with no source at all (a fresh bounded
@@ -57,15 +56,13 @@ pub struct EngineConfig {
     cache_file: Option<PathBuf>,
     pile: Option<PathBuf>,
     space_file: Option<PathBuf>,
-    owned_cache: Option<VerdictCache>,
     shared_cache: Option<Arc<VerdictCache>>,
     shared_spaces: Option<Arc<Mutex<SpaceLibrary>>>,
-    jobs: usize,
 }
 
 impl EngineConfig {
     /// An empty configuration: default budget, fresh unbounded cache, no
-    /// persistence, `jobs = 0` (available parallelism).
+    /// persistence.
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
@@ -106,16 +103,12 @@ impl EngineConfig {
         self
     }
 
-    /// Use a pre-built cache — one warmed by [`crate::persist::load_cache`]
-    /// or bounded by [`VerdictCache::bounded`].
-    pub fn cache(mut self, cache: VerdictCache) -> Self {
-        self.owned_cache = Some(cache);
-        self
-    }
-
-    /// Share a verdict cache with other engines (or other holders — a
-    /// resident daemon keeping one warm cache per catalog). All sharing
-    /// engines see each other's verdicts immediately.
+    /// Use a pre-built verdict cache — one warmed by
+    /// [`crate::persist::load_cache`] or bounded by
+    /// [`VerdictCache::bounded`] — possibly shared with other engines (or
+    /// other holders — a resident daemon keeping one warm cache per
+    /// catalog). All sharing engines see each other's verdicts
+    /// immediately.
     pub fn shared_cache(mut self, cache: Arc<VerdictCache>) -> Self {
         self.shared_cache = Some(cache);
         self
@@ -129,25 +122,16 @@ impl EngineConfig {
         self
     }
 
-    /// Worker threads for batch execution (`0` = available parallelism).
-    /// Carried by the [`Session`] so drivers have one place to read it;
-    /// results are byte-identical for every setting.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     fn conflict(&self) -> Option<&'static str> {
         let sources = [
-            self.owned_cache.is_some(),
             self.shared_cache.is_some(),
             self.cache_file.is_some(),
             self.pile.is_some(),
         ];
         if sources.iter().filter(|&&s| s).count() > 1 {
-            return Some("at most one cache source (cache / shared_cache / cache_file / pile)");
+            return Some("at most one cache source (shared_cache / cache_file / pile)");
         }
-        if self.cache_max.is_some() && (self.owned_cache.is_some() || self.shared_cache.is_some()) {
+        if self.cache_max.is_some() && self.shared_cache.is_some() {
             return Some("cache_max conflicts with a pre-built cache (bound it at construction)");
         }
         None
@@ -161,10 +145,8 @@ impl fmt::Debug for EngineConfig {
             .field("cache_file", &self.cache_file)
             .field("pile", &self.pile)
             .field("space_file", &self.space_file)
-            .field("owned_cache", &self.owned_cache.is_some())
             .field("shared_cache", &self.shared_cache.is_some())
             .field("shared_spaces", &self.shared_spaces.is_some())
-            .field("jobs", &self.jobs)
             .finish_non_exhaustive()
     }
 }
@@ -224,7 +206,6 @@ pub struct PersistSummary {
 /// configuration promised.
 pub struct Session {
     engine: Engine,
-    jobs: usize,
     cache_file: Option<PathBuf>,
     space_file: Option<PathBuf>,
     pile: Option<PileStore>,
@@ -244,10 +225,8 @@ impl Session {
             cache_file,
             pile,
             space_file,
-            owned_cache,
             shared_cache,
             shared_spaces,
-            jobs,
         } = config;
         let mut pile_store = match &pile {
             Some(path) => Some(PileStore::open(path).map_err(|e| pile_err(path, e))?),
@@ -255,8 +234,6 @@ impl Session {
         };
         let cache: Arc<VerdictCache> = if let Some(shared) = shared_cache {
             shared
-        } else if let Some(owned) = owned_cache {
-            Arc::new(owned)
         } else if let Some(path) = &cache_file {
             if path.exists() {
                 Arc::new(load_cache_from_path(path, cache_max).map_err(|e| persist_err(path, e))?)
@@ -279,7 +256,6 @@ impl Session {
         };
         Ok(Session {
             engine: Engine::assemble(budget, cache, spaces),
-            jobs,
             cache_file,
             space_file,
             pile: pile_store,
@@ -289,11 +265,6 @@ impl Session {
     /// The configured engine.
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The configured batch worker count (`0` = available parallelism).
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Drop the persistence handles and keep the engine.
@@ -394,7 +365,7 @@ mod tests {
             Err(ConfigError::Conflict(_))
         ));
         let config = EngineConfig::new()
-            .cache(VerdictCache::new())
+            .shared_cache(Arc::new(VerdictCache::new()))
             .cache_max(Some(10));
         assert!(matches!(
             Engine::from_config(config),
@@ -413,7 +384,7 @@ mod tests {
         let (cat, view) = setup();
         let path = tmp("roundtrip.vcapcache");
 
-        let mut session = Session::open(EngineConfig::new().cache_file(&path).jobs(1)).unwrap();
+        let mut session = Session::open(EngineConfig::new().cache_file(&path)).unwrap();
         decide(session.engine(), &cat, &view, "pi{A}(R)");
         let summary = session.persist(&cat).unwrap();
         assert!(summary.cache_saved);

@@ -5,7 +5,7 @@
 //! [`DeltaWorkload`] keeps a *standing* workload of checks together with
 //! their last decisions and, per request, the canonical fingerprints of the
 //! views it touches. When a view is edited
-//! ([`DeltaWorkload::replace_view`]), only the requests whose dependency
+//! ([`DeltaWorkload::replace_views`]), only the requests whose dependency
 //! set contains the edited view are invalidated; [`DeltaWorkload::run`]
 //! re-poses exactly those to the engine (where the content-addressed
 //! verdict cache may *still* answer some of them — e.g. an edit that was
@@ -24,6 +24,7 @@
 use crate::cache::CacheKey;
 use crate::engine::{Decision, Engine};
 use crate::fingerprint::{view_fingerprint, Fingerprint};
+use crate::verdict::CheckKind;
 use crate::workload::{Check, Request, Workload};
 use std::collections::HashMap;
 use viewcap_base::Catalog;
@@ -78,22 +79,10 @@ pub struct DeltaWorkload {
 
 /// The fingerprints of every view a check touches (its dependency set).
 fn view_deps(check: &Check, catalog: &Catalog) -> Vec<Fingerprint> {
-    match check {
-        Check::Member { view, .. } => vec![view_fingerprint(view, catalog)],
-        Check::Dominates {
-            dominator,
-            dominated,
-        } => vec![
-            view_fingerprint(dominator, catalog),
-            view_fingerprint(dominated, catalog),
-        ],
-        Check::Equivalent { left, right } => {
-            vec![
-                view_fingerprint(left, catalog),
-                view_fingerprint(right, catalog),
-            ]
-        }
-    }
+    check
+        .views()
+        .map(|view| view_fingerprint(view, catalog))
+        .collect()
 }
 
 /// Does `operand` denote exactly the view `target`? Fingerprint equality
@@ -106,35 +95,10 @@ fn same_view(operand: &View, target_fp: Fingerprint, target: &View, catalog: &Ca
 /// cache key already pins the semantic content). Equivalence is matched in
 /// either orientation, mirroring its orientation-free key.
 fn same_operands(a: &Check, b: &Check) -> bool {
-    match (a, b) {
-        (Check::Member { view: v1, .. }, Check::Member { view: v2, .. }) => {
-            v1.schema() == v2.schema()
-        }
-        (
-            Check::Dominates {
-                dominator: d1,
-                dominated: e1,
-            },
-            Check::Dominates {
-                dominator: d2,
-                dominated: e2,
-            },
-        ) => d1.schema() == d2.schema() && e1.schema() == e2.schema(),
-        (
-            Check::Equivalent {
-                left: l1,
-                right: r1,
-            },
-            Check::Equivalent {
-                left: l2,
-                right: r2,
-            },
-        ) => {
-            (l1.schema() == l2.schema() && r1.schema() == r2.schema())
-                || (l1.schema() == r2.schema() && r1.schema() == l2.schema())
-        }
-        _ => false,
-    }
+    let schemas = |c| Check::views(c).map(View::schema);
+    a.kind() == b.kind()
+        && (schemas(a).eq(schemas(b))
+            || (a.kind() == CheckKind::Equivalent && schemas(a).eq(schemas(b).rev())))
 }
 
 impl DeltaWorkload {
@@ -239,84 +203,16 @@ impl DeltaWorkload {
         i
     }
 
-    /// Apply a catalog edit: the view `old` (typically with one defining
-    /// query added, removed, or replaced) becomes `new`. Every standing
-    /// request that touches `old` — found by fingerprint dependency
-    /// tracking, confirmed by schema — has that operand swapped for `new`
-    /// and its retained decision invalidated. Returns how many requests
-    /// were invalidated.
-    pub fn replace_view(&mut self, old: &View, new: &View, catalog: &Catalog) -> usize {
-        let old_fp = view_fingerprint(old, catalog);
-        let mut invalidated = 0;
-        for i in 0..self.standing.len() {
-            let s = &mut self.standing[i];
-            // Fast path: fingerprint dependency tracking.
-            if !s.view_deps.contains(&old_fp) {
-                continue;
-            }
-            let swap = |v: &View| -> Option<View> {
-                same_view(v, old_fp, old, catalog).then(|| new.clone())
-            };
-            let touched = match &mut s.request.check {
-                Check::Member { view, .. } => match swap(view) {
-                    Some(n) => {
-                        *view = n;
-                        true
-                    }
-                    None => false,
-                },
-                Check::Dominates {
-                    dominator,
-                    dominated,
-                } => {
-                    let mut t = false;
-                    for v in [dominator, dominated] {
-                        if let Some(n) = swap(v) {
-                            *v = n;
-                            t = true;
-                        }
-                    }
-                    t
-                }
-                Check::Equivalent { left, right } => {
-                    let mut t = false;
-                    for v in [left, right] {
-                        if let Some(n) = swap(v) {
-                            *v = n;
-                            t = true;
-                        }
-                    }
-                    t
-                }
-            };
-            if touched {
-                let old_key = s.key;
-                let new_key = Engine::cache_key(&s.request.check, catalog);
-                let label = s.request.label.clone();
-                s.key = new_key;
-                s.view_deps = view_deps(&s.request.check, catalog);
-                s.decision = None;
-                invalidated += 1;
-                if new_key != old_key {
-                    self.index_remove(old_key, &label, i);
-                    self.index_insert(new_key, &label, i);
-                }
-            }
-        }
-        DELTA_INVALIDATED.add(invalidated as u64);
-        obs::instant(
-            "engine.delta.replace_view",
-            "engine",
-            &[("invalidated", invalidated as u64)],
-        );
-        invalidated
-    }
-
-    /// Apply a multi-edit transaction: every `(old, new)` pair in `edits`
-    /// becomes one sweep over the standing workload, invalidating each
-    /// touched request once even when several edits hit it. Per request the
-    /// pairs apply *in order* — an edit whose `old` is a previous edit's
-    /// `new` composes exactly as sequential [`DeltaWorkload::replace_view`]
+    /// Apply catalog edits: each `(old, new)` pair in `edits` says the view
+    /// `old` (typically with one defining query added, removed, or
+    /// replaced) becomes `new`. Every standing request that touches an
+    /// `old` — found by fingerprint dependency tracking, confirmed by
+    /// schema — has that operand swapped for `new` and its retained
+    /// decision invalidated. A single `edit` is a one-pair call; a `txn`
+    /// passes all its pairs, so the whole transaction is one sweep that
+    /// invalidates each touched request once even when several edits hit
+    /// it. Per request the pairs apply *in order* — an edit whose `old` is
+    /// a previous edit's `new` composes exactly as sequential one-pair
     /// calls would — so verdicts and witnesses after the next run are
     /// byte-identical to the sequential path (the txn differential suite
     /// pins this); only the invalidation accounting is batched. Returns how
@@ -340,35 +236,11 @@ impl DeltaWorkload {
                 if !s.view_deps.contains(&old_fp) {
                     continue;
                 }
-                let swap = |v: &View| -> Option<View> {
-                    same_view(v, old_fp, old, catalog).then(|| new.clone())
-                };
                 let mut hit = false;
-                match &mut s.request.check {
-                    Check::Member { view, .. } => {
-                        if let Some(n) = swap(view) {
-                            *view = n;
-                            hit = true;
-                        }
-                    }
-                    Check::Dominates {
-                        dominator,
-                        dominated,
-                    } => {
-                        for v in [dominator, dominated] {
-                            if let Some(n) = swap(v) {
-                                *v = n;
-                                hit = true;
-                            }
-                        }
-                    }
-                    Check::Equivalent { left, right } => {
-                        for v in [left, right] {
-                            if let Some(n) = swap(v) {
-                                *v = n;
-                                hit = true;
-                            }
-                        }
+                for view in s.request.check.views_mut() {
+                    if same_view(view, old_fp, old, catalog) {
+                        *view = new.clone();
+                        hit = true;
                     }
                 }
                 if hit {
@@ -408,19 +280,10 @@ impl DeltaWorkload {
         let before = self.standing.len();
         self.standing.retain(|s| {
             !(s.view_deps.contains(&fp)
-                && match &s.request.check {
-                    Check::Member { view: v, .. } => same_view(v, fp, view, catalog),
-                    Check::Dominates {
-                        dominator,
-                        dominated,
-                    } => {
-                        same_view(dominator, fp, view, catalog)
-                            || same_view(dominated, fp, view, catalog)
-                    }
-                    Check::Equivalent { left, right } => {
-                        same_view(left, fp, view, catalog) || same_view(right, fp, view, catalog)
-                    }
-                })
+                && s.request
+                    .check
+                    .views()
+                    .any(|v| same_view(v, fp, view, catalog)))
         });
         // Removal shifts indices; rebuild the upsert index.
         let mut index: HashMap<(CacheKey, String), Vec<usize>> = HashMap::new();

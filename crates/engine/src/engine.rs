@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use viewcap_base::{Catalog, RelId};
 use viewcap_core::equivalence::{dominates_via, EquivalenceWitness};
-use viewcap_core::{ClosureContext, NormContext, SearchBudget, View};
+use viewcap_core::{ClosureContext, ClosureMember, NormContext, SearchBudget, View};
 use viewcap_obs as obs;
 use viewcap_template::SearchOverflow;
 
@@ -120,17 +120,19 @@ pub struct BatchOutcome {
     pub executed: usize,
 }
 
-/// Cumulative candidate-space reuse counters across an engine's
-/// [`ClosureContext`] pool *and* its normalization ([`NormContext`]) pool
-/// (see [`Engine::enum_stats`]).
+/// Cumulative candidate-space reuse counters, summed over every context
+/// an engine has pooled: closure contexts ([`ClosureContext`]) and
+/// normalization contexts ([`NormContext`]), live or retired (see
+/// [`Engine::enum_stats`]).
 ///
-/// `probes - contexts` is roughly how many membership questions were
-/// answered without re-deriving the bounded enumeration; `combos` is the
-/// total enumeration work actually paid. A batch of N checks against one
-/// view shows `contexts == 1, probes >= N` where the uncached engine paid
-/// the enumeration N times over. Normalization runs (`simplify`,
-/// `nonredundant`) contribute their class-space enumeration to the same
-/// counters, so a scenario that only normalizes still reports its work.
+/// `probes - contexts` is roughly how many questions were answered
+/// without re-deriving the bounded enumeration; `combos` is the total
+/// enumeration work actually paid. A batch of N checks against one view
+/// shows `contexts == 1, probes >= N` where the uncached engine paid the
+/// enumeration N times over. Every enumerating command reports here:
+/// checks, `frontier`/`diff` sweeps ([`Engine::members`], one probe
+/// each), and normalization runs (`simplify`, `nonredundant`), so a
+/// scenario that only normalizes or only diffs still reports its work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnumStats {
     /// Contexts built (closure contexts: one per distinct ordered
@@ -152,8 +154,8 @@ pub struct EnumStats {
 }
 
 impl EnumStats {
-    /// Fieldwise sum — used to combine the two pools' counters.
-    /// Saturating: a long-lived engine (a future `viewcap-serve` daemon)
+    /// Fieldwise sum — folds per-context counters into pool totals and
+    /// the two pools into one. Saturating: a long-lived engine (a future `viewcap-serve` daemon)
     /// must pin at `u64::MAX` rather than wrap.
     fn plus(self, other: EnumStats) -> EnumStats {
         EnumStats {
@@ -183,104 +185,112 @@ impl fmt::Display for EnumStats {
     }
 }
 
-/// Most contexts the pool retains. Contexts are pure caches (dropping one
+/// Most contexts each pool retains. Contexts are pure caches (dropping one
 /// only costs re-enumeration), so a bound keeps long-lived engines — e.g.
 /// a [`crate::DeltaWorkload`] cycling through many view versions — from
 /// accumulating one fully built candidate space per version forever.
 const MAX_CONTEXTS: usize = 64;
 
-/// A pooled context plus its last-use stamp (for LRU retirement).
-struct PooledContext {
-    context: Arc<Mutex<ClosureContext>>,
-    last_used: u64,
+/// A context a [`Pool`] can hold: what it contributes to [`EnumStats`].
+trait PooledContext {
+    fn enum_stats(&self) -> EnumStats;
 }
 
-struct PoolInner {
-    map: HashMap<Vec<Fingerprint>, PooledContext>,
+impl PooledContext for ClosureContext {
+    fn enum_stats(&self) -> EnumStats {
+        let s = self.search_stats();
+        EnumStats {
+            contexts: 1,
+            probes: self.probes(),
+            combos: s.combos,
+            roots: s.roots_visited,
+            levels_hydrated: self.hydrated_levels() as u64,
+            levels_rebuilt: self.rebuilt_levels() as u64,
+        }
+    }
+}
+
+impl PooledContext for NormContext {
+    fn enum_stats(&self) -> EnumStats {
+        let s = self.search_stats();
+        EnumStats {
+            contexts: 1,
+            probes: self.probes(),
+            combos: s.combos,
+            roots: s.roots_visited,
+            ..EnumStats::default()
+        }
+    }
+}
+
+/// The telemetry one pool emits: its lifecycle counters, whose names its
+/// build/retire trace instants reuse, under `category`.
+struct PoolObs {
+    build: &'static obs::Counter,
+    reuse: &'static obs::Counter,
+    retire: &'static obs::Counter,
+    category: &'static str,
+}
+
+struct PoolInner<C> {
+    /// Each live context with its last-use stamp (for LRU retirement).
+    map: HashMap<Vec<Fingerprint>, (Arc<Mutex<C>>, u64)>,
     clock: u64,
     /// Counters harvested from retired contexts, so [`EnumStats`] stays
     /// cumulative across evictions.
     retired: EnumStats,
 }
 
-/// The engine's pool of [`ClosureContext`]s, one per *ordered* table of
-/// defining-query fingerprints.
-///
-/// Keying by the ordered table (not the order-free view fingerprint) keeps
-/// witness λ indices positional: two views listing equivalent queries in
-/// different orders get separate contexts, while re-posed checks against
-/// the same view — across batches and [`crate::DeltaWorkload`] re-checks —
-/// share one lazily extended enumeration. Fingerprint-equal views with
-/// *isomorphic but non-identical* defining templates share a context, so
-/// their witnesses carry the creator's λ templates — the same
-/// representative-per-class semantics the verdict cache already applies on
-/// hits; rendered output ([`crate::Decision::member_witness_names`]) is
-/// unaffected. [`Engine::run_batch`] pre-creates the contexts a batch
-/// needs sequentially, so which view defines a shared context never
-/// depends on worker scheduling.
-struct ContextPool {
-    inner: Mutex<PoolInner>,
+/// A bounded LRU pool of shared contexts keyed by a defining-query
+/// fingerprint table. The engine keeps two: closure contexts keyed by the
+/// *ordered* table, normalization contexts by the *sorted* one (see
+/// [`Engine`]).
+struct Pool<C> {
+    inner: Mutex<PoolInner<C>>,
+    obs: PoolObs,
 }
 
-impl ContextPool {
-    fn new() -> Self {
-        ContextPool {
+impl<C: PooledContext> Pool<C> {
+    fn new(obs: PoolObs) -> Self {
+        Pool {
             inner: Mutex::new(PoolInner {
                 map: HashMap::new(),
                 clock: 0,
                 retired: EnumStats::default(),
             }),
+            obs,
         }
     }
 
-    /// The context for `view`'s defining query set, created on first use.
-    ///
-    /// Creation is cheap (no enumeration runs until the first probe): when
-    /// a space library holds a snapshot for the new context's space key,
-    /// the *bytes* are staged now but parsed only on the first probe. Past
-    /// [`MAX_CONTEXTS`] the least-recently-used other context is retired,
-    /// its counters folded into the pool's totals and any enumeration
-    /// levels it grew harvested back into the library.
-    fn for_view(
+    /// The context under `key`, built by `build` on first use. Past
+    /// [`MAX_CONTEXTS`] the least-recently-used other context is retired:
+    /// its counters fold into the pool's totals and `retire` sees it on
+    /// the way out. Safe to lock it there: callers never hold a context
+    /// lock while touching the pool.
+    fn get(
         &self,
-        view: &View,
-        catalog: &Catalog,
-        budget: &SearchBudget,
-        spaces: Option<&Mutex<SpaceLibrary>>,
-    ) -> Arc<Mutex<ClosureContext>> {
-        let key = view_query_fingerprints(view, catalog);
+        key: Vec<Fingerprint>,
+        build: impl FnOnce() -> C,
+        mut retire: impl FnMut(&C),
+    ) -> Arc<Mutex<C>> {
         let mut inner = self.inner.lock().expect("context pool lock");
         inner.clock += 1;
         let stamp = inner.clock;
         let context = match inner.map.get_mut(&key) {
-            Some(pooled) => {
-                pooled.last_used = stamp;
-                CTX_REUSE.add(1);
-                Arc::clone(&pooled.context)
+            Some((context, last_used)) => {
+                *last_used = stamp;
+                self.obs.reuse.add(1);
+                Arc::clone(context)
             }
             None => {
-                CTX_BUILD.add(1);
+                self.obs.build.add(1);
                 obs::instant(
-                    "engine.ctx.build",
-                    "engine",
+                    self.obs.build.name(),
+                    self.obs.category,
                     &[("queries", key.len() as u64)],
                 );
-                let mut fresh = ClosureContext::new(view.query_set().queries(), catalog, budget);
-                if let Some(spaces) = spaces {
-                    let library = spaces.lock().expect("space library lock");
-                    if let Some(bytes) = library.get(fresh.space_key()) {
-                        fresh.stage_snapshot(bytes.to_vec());
-                        CTX_STAGE.add(1);
-                    }
-                }
-                let context = Arc::new(Mutex::new(fresh));
-                inner.map.insert(
-                    key,
-                    PooledContext {
-                        context: Arc::clone(&context),
-                        last_used: stamp,
-                    },
-                );
+                let context = Arc::new(Mutex::new(build()));
+                inner.map.insert(key, (Arc::clone(&context), stamp));
                 context
             }
         };
@@ -288,241 +298,70 @@ impl ContextPool {
             let Some(victim) = inner
                 .map
                 .iter()
-                .min_by_key(|(_, p)| p.last_used)
+                .min_by_key(|(_, (_, last_used))| *last_used)
                 .map(|(k, _)| k.clone())
             else {
                 break;
             };
-            let Some(retiree) = inner.map.remove(&victim) else {
+            let Some((retiree, _)) = inner.map.remove(&victim) else {
                 break;
             };
-            // Harvest the retiree's counters — and any enumeration levels
-            // it grew, so retirement never loses persisted-space progress.
-            // Safe to lock here: workers never hold a context lock while
-            // touching the pool.
-            let retiree = retiree.context.lock().expect("context lock");
-            let s = retiree.search_stats();
-            CTX_RETIRE.add(1);
+            let retiree = retiree.lock().expect("context lock");
+            let stats = retiree.enum_stats();
+            self.obs.retire.add(1);
             obs::instant(
-                "engine.ctx.retire",
-                "engine",
-                &[("probes", retiree.probes())],
+                self.obs.retire.name(),
+                self.obs.category,
+                &[("probes", stats.probes)],
             );
-            inner.retired.contexts += 1;
-            inner.retired.probes += retiree.probes();
-            inner.retired.combos += s.combos;
-            inner.retired.roots += s.roots_visited;
-            inner.retired.levels_hydrated += retiree.hydrated_levels() as u64;
-            inner.retired.levels_rebuilt += retiree.rebuilt_levels() as u64;
-            if let Some(spaces) = spaces {
-                if let Some((key, bytes)) = retiree.export_space() {
-                    spaces
-                        .lock()
-                        .expect("space library lock")
-                        .insert(key, bytes);
-                }
-            }
+            inner.retired = inner.retired.plus(stats);
+            retire(&retiree);
         }
         context
     }
 
-    /// Create (or touch) the contexts `check` will probe. Called
-    /// sequentially for a batch's cache misses before workers start, so
-    /// context creation order — and therefore which fingerprint-equal view
-    /// defines a shared context — is submission-order-deterministic.
-    fn prewarm(
-        &self,
-        check: &Check,
-        flipped: bool,
-        catalog: &Catalog,
-        budget: &SearchBudget,
-        spaces: Option<&Mutex<SpaceLibrary>>,
-    ) {
-        match check {
-            Check::Member { view, .. } => {
-                self.for_view(view, catalog, budget, spaces);
-            }
-            Check::Dominates { dominator, .. } => {
-                self.for_view(dominator, catalog, budget, spaces);
-            }
-            Check::Equivalent { left, right } => {
-                let (v, w) = if flipped {
-                    (right, left)
-                } else {
-                    (left, right)
-                };
-                self.for_view(v, catalog, budget, spaces);
-                self.for_view(w, catalog, budget, spaces);
-            }
-        }
-    }
-
-    /// Export every live context's grown space into `spaces` (retired
-    /// contexts already exported on the way out). Returns how many
-    /// snapshots changed the library.
-    fn harvest(&self, spaces: &Mutex<SpaceLibrary>) -> usize {
+    /// Visit every live context (retired ones already left through
+    /// `retire`).
+    fn for_each_live(&self, mut f: impl FnMut(&C)) {
         let inner = self.inner.lock().expect("context pool lock");
-        let mut harvested = 0;
-        for pooled in inner.map.values() {
-            let context = pooled.context.lock().expect("context lock");
-            if let Some((key, bytes)) = context.export_space() {
-                if spaces
-                    .lock()
-                    .expect("space library lock")
-                    .insert(key, bytes)
-                {
-                    harvested += 1;
-                }
-            }
+        for (context, _) in inner.map.values() {
+            f(&context.lock().expect("context lock"));
         }
-        harvested
     }
 
     fn stats(&self) -> EnumStats {
         let inner = self.inner.lock().expect("context pool lock");
-        let mut out = inner.retired;
-        out.contexts += inner.map.len() as u64;
-        for pooled in inner.map.values() {
-            let context = pooled.context.lock().expect("context lock");
-            let s = context.search_stats();
-            out.probes += context.probes();
-            out.combos += s.combos;
-            out.roots += s.roots_visited;
-            out.levels_hydrated += context.hydrated_levels() as u64;
-            out.levels_rebuilt += context.rebuilt_levels() as u64;
-        }
-        out
-    }
-}
-
-/// A pooled normalization context plus its last-use stamp.
-struct PooledNorm {
-    context: Arc<Mutex<NormContext>>,
-    last_used: u64,
-}
-
-struct NormPoolInner {
-    map: HashMap<Vec<Fingerprint>, PooledNorm>,
-    clock: u64,
-    retired: EnumStats,
-}
-
-/// The engine's pool of [`NormContext`]s, one per *sorted* multiset of
-/// defining-query fingerprints.
-///
-/// Normalization verdicts are class-based (a `NormContext`'s universe is
-/// the *set* of originals and their proper projections — Theorem 4.2.1),
-/// so unlike [`ContextPool`] the key can ignore pair order: reordered or
-/// fingerprint-equal views share one lazily built class space, and
-/// `simplify` plus `nonredundant` against the same view share it too.
-/// Positional results stay correct because the context maps the caller's
-/// ordered query slice to classes at probe time.
-struct NormPool {
-    inner: Mutex<NormPoolInner>,
-}
-
-impl NormPool {
-    fn new() -> Self {
-        NormPool {
-            inner: Mutex::new(NormPoolInner {
-                map: HashMap::new(),
-                clock: 0,
-                retired: EnumStats::default(),
-            }),
-        }
-    }
-
-    /// The normalization context for `view`'s defining query set, created
-    /// on first use; LRU-retired past [`MAX_CONTEXTS`] with its counters
-    /// folded into the pool's totals (the same policy as [`ContextPool`]).
-    fn for_view(
-        &self,
-        view: &View,
-        catalog: &Catalog,
-        budget: &SearchBudget,
-    ) -> Arc<Mutex<NormContext>> {
-        let mut key = view_query_fingerprints(view, catalog);
-        key.sort_unstable();
-        let mut inner = self.inner.lock().expect("norm pool lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let context = match inner.map.get_mut(&key) {
-            Some(pooled) => {
-                pooled.last_used = stamp;
-                NORM_CTX_REUSE.add(1);
-                Arc::clone(&pooled.context)
-            }
-            None => {
-                NORM_CTX_BUILD.add(1);
-                obs::instant(
-                    "engine.norm_ctx.build",
-                    "norm",
-                    &[("queries", key.len() as u64)],
-                );
-                let context = Arc::new(Mutex::new(NormContext::new(
-                    view.query_set().queries(),
-                    catalog,
-                    budget,
-                )));
-                inner.map.insert(
-                    key,
-                    PooledNorm {
-                        context: Arc::clone(&context),
-                        last_used: stamp,
-                    },
-                );
-                context
-            }
-        };
-        while inner.map.len() > MAX_CONTEXTS {
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, p)| p.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let Some(retiree) = inner.map.remove(&victim) else {
-                break;
-            };
-            let retiree = retiree.context.lock().expect("norm context lock");
-            let s = retiree.search_stats();
-            NORM_CTX_RETIRE.add(1);
-            obs::instant(
-                "engine.norm_ctx.retire",
-                "norm",
-                &[("probes", retiree.probes())],
-            );
-            inner.retired.contexts += 1;
-            inner.retired.probes += retiree.probes();
-            inner.retired.combos += s.combos;
-            inner.retired.roots += s.roots_visited;
-        }
-        context
-    }
-
-    fn stats(&self) -> EnumStats {
-        let inner = self.inner.lock().expect("norm pool lock");
-        let mut out = inner.retired;
-        out.contexts += inner.map.len() as u64;
-        for pooled in inner.map.values() {
-            let context = pooled.context.lock().expect("norm context lock");
-            let s = context.search_stats();
-            out.probes += context.probes();
-            out.combos += s.combos;
-            out.roots += s.roots_visited;
-        }
-        out
+        inner.map.values().fold(inner.retired, |acc, (context, _)| {
+            acc.plus(context.lock().expect("context lock").enum_stats())
+        })
     }
 }
 
 /// The concurrent batch decision engine.
 ///
-/// Holds the verdict cache, the search budget, and a pool of shared
-/// [`ClosureContext`]s (one per view fingerprint table), so a batch of N
-/// checks against one view — and every delta re-check touching it — pays
-/// the bounded enumeration once. The verdict cache is
+/// Holds the verdict cache, the search budget, and two context pools: one
+/// [`ClosureContext`] per *ordered* defining-query fingerprint table and
+/// one [`NormContext`] per *sorted* one. A batch of N checks against one
+/// view — every delta re-check touching it, and every `frontier`/`diff`
+/// sweep of it ([`Engine::members`]) — pays the bounded enumeration once.
+///
+/// Keying closure contexts by the ordered table (not the order-free view
+/// fingerprint) keeps witness λ indices positional: two views listing
+/// equivalent queries in different orders get separate contexts.
+/// Fingerprint-equal views with *isomorphic but non-identical* defining
+/// templates share a context, so their witnesses carry the creator's λ
+/// templates — the same representative-per-class semantics the verdict
+/// cache already applies on hits; rendered output
+/// ([`crate::Decision::member_witness_names`]) is unaffected.
+/// [`Engine::run_batch`] pre-creates the contexts a batch needs
+/// sequentially, so which view defines a shared context never depends on
+/// worker scheduling. Normalization verdicts are class-based (a
+/// `NormContext`'s universe is the *set* of originals and their proper
+/// projections — Theorem 4.2.1), so that pool's key ignores pair order:
+/// reordered views, and `simplify` plus `nonredundant` of one view, share
+/// one class space.
+///
+/// The verdict cache is
 /// catalog-content-addressed (fingerprints hash relation *content*, never
 /// raw ids), so a cache persisted by one process warms any catalog
 /// declaring the same relations, whatever the declaration order; the
@@ -536,8 +375,8 @@ pub struct Engine {
     /// stay per-engine because they hold catalog-bound ids.
     cache: Arc<VerdictCache>,
     budget: SearchBudget,
-    contexts: ContextPool,
-    norms: NormPool,
+    contexts: Pool<ClosureContext>,
+    norms: Pool<NormContext>,
     /// Optional persisted-snapshot library: new contexts stage a matching
     /// snapshot from it (hydrated lazily on first probe), and grown spaces
     /// are harvested back into it. Shareable across engines the same way
@@ -571,8 +410,18 @@ impl Engine {
         Engine {
             cache,
             budget,
-            contexts: ContextPool::new(),
-            norms: NormPool::new(),
+            contexts: Pool::new(PoolObs {
+                build: &CTX_BUILD,
+                reuse: &CTX_REUSE,
+                retire: &CTX_RETIRE,
+                category: "engine",
+            }),
+            norms: Pool::new(PoolObs {
+                build: &NORM_CTX_BUILD,
+                reuse: &NORM_CTX_REUSE,
+                retire: &NORM_CTX_RETIRE,
+                category: "norm",
+            }),
             spaces,
         }
     }
@@ -586,15 +435,114 @@ impl Engine {
     /// into the attached library. Returns how many snapshots changed the
     /// library (0 when no library is attached or nothing grew).
     pub fn harvest_spaces(&self) -> usize {
-        match &self.spaces {
-            Some(spaces) => self.contexts.harvest(spaces),
-            None => 0,
+        let Some(spaces) = &self.spaces else {
+            return 0;
+        };
+        let mut harvested = 0;
+        self.contexts.for_each_live(|context| {
+            if let Some((key, bytes)) = context.export_space() {
+                if spaces
+                    .lock()
+                    .expect("space library lock")
+                    .insert(key, bytes)
+                {
+                    harvested += 1;
+                }
+            }
+        });
+        harvested
+    }
+
+    /// The pooled closure context for `view`'s ordered defining-query
+    /// set, created on first use. Creation is cheap (no enumeration runs
+    /// until the first probe): when the space library holds a snapshot
+    /// for the new context's space key, the *bytes* are staged now but
+    /// parsed only on the first probe. A context retired from the pool
+    /// harvests any levels it grew back into the library, so retirement
+    /// never loses persisted-space progress.
+    fn closure_context(&self, view: &View, catalog: &Catalog) -> Arc<Mutex<ClosureContext>> {
+        let spaces = self.spaces.as_deref();
+        self.contexts.get(
+            view_query_fingerprints(view, catalog),
+            || {
+                let mut fresh =
+                    ClosureContext::new(view.query_set().queries(), catalog, &self.budget);
+                if let Some(spaces) = spaces {
+                    let library = spaces.lock().expect("space library lock");
+                    if let Some(bytes) = library.get(fresh.space_key()) {
+                        fresh.stage_snapshot(bytes.to_vec());
+                        CTX_STAGE.add(1);
+                    }
+                }
+                fresh
+            },
+            |retiree| {
+                if let (Some(spaces), Some((key, bytes))) = (spaces, retiree.export_space()) {
+                    spaces
+                        .lock()
+                        .expect("space library lock")
+                        .insert(key, bytes);
+                }
+            },
+        )
+    }
+
+    /// The pooled normalization context for `view`'s defining-query
+    /// multiset, created on first use.
+    fn norm_context(&self, view: &View, catalog: &Catalog) -> Arc<Mutex<NormContext>> {
+        let mut key = view_query_fingerprints(view, catalog);
+        key.sort_unstable();
+        self.norms.get(
+            key,
+            || NormContext::new(view.query_set().queries(), catalog, &self.budget),
+            |_| {},
+        )
+    }
+
+    /// Create (or touch) the contexts `check` will probe. Called
+    /// sequentially for a batch's cache misses before workers start, so
+    /// context creation order — and therefore which fingerprint-equal view
+    /// defines a shared context — is submission-order-deterministic.
+    fn prewarm(&self, check: &Check, flipped: bool, catalog: &Catalog) {
+        match check {
+            Check::Member { view, .. } => {
+                self.closure_context(view, catalog);
+            }
+            Check::Dominates { dominator, .. } => {
+                self.closure_context(dominator, catalog);
+            }
+            Check::Equivalent { left, right } => {
+                let (v, w) = if flipped {
+                    (right, left)
+                } else {
+                    (left, right)
+                };
+                self.closure_context(v, catalog);
+                self.closure_context(w, catalog);
+            }
         }
     }
 
+    /// The bounded `Cap(view)` frontier: the pairwise-inequivalent
+    /// members constructible with at most `max_atoms` atoms, enumerated
+    /// through the view's pooled [`ClosureContext`] — the candidate space
+    /// that `member`/`dominates`/`equivalent` checks of the same view
+    /// extend, and that the space library hydrates and harvests. Member
+    /// for member identical to a one-shot
+    /// [`viewcap_core::closure_members`] sweep over the view's queries.
+    pub fn members(
+        &self,
+        view: &View,
+        max_atoms: usize,
+        catalog: &Catalog,
+    ) -> Result<Vec<ClosureMember>, SearchOverflow> {
+        let context = self.closure_context(view, catalog);
+        let members = context.lock().expect("context lock").members(max_atoms);
+        members
+    }
+
     /// Snapshot the candidate-space reuse counters across the engine's
-    /// two pools: the per-view closure contexts and the normalization
-    /// contexts.
+    /// two pools: the closure contexts and the normalization contexts.
     pub fn enum_stats(&self) -> EnumStats {
         self.contexts.stats().plus(self.norms.stats())
     }
@@ -721,9 +669,7 @@ impl Engine {
         let _span = CHECK_SPAN.start();
         let (verdict, left_view) = match check {
             Check::Member { view, goal } => {
-                let context =
-                    self.contexts
-                        .for_view(view, catalog, &self.budget, self.spaces.as_deref());
+                let context = self.closure_context(view, catalog);
                 let proof = context.lock().expect("context lock").contains(goal)?;
                 (Verdict::Member(proof), view)
             }
@@ -731,12 +677,7 @@ impl Engine {
                 dominator,
                 dominated,
             } => {
-                let context = self.contexts.for_view(
-                    dominator,
-                    catalog,
-                    &self.budget,
-                    self.spaces.as_deref(),
-                );
+                let context = self.closure_context(dominator, catalog);
                 let witness = dominates_via(&mut context.lock().expect("context lock"), dominated)?;
                 (Verdict::Dominates(witness), dominator)
             }
@@ -749,19 +690,12 @@ impl Engine {
                 } else {
                     (left, right)
                 };
-                let context =
-                    self.contexts
-                        .for_view(v, catalog, &self.budget, self.spaces.as_deref());
+                let context = self.closure_context(v, catalog);
                 let v_dominates_w = dominates_via(&mut context.lock().expect("context lock"), w)?;
                 let witness = match v_dominates_w {
                     None => None,
                     Some(v_dominates_w) => {
-                        let context = self.contexts.for_view(
-                            w,
-                            catalog,
-                            &self.budget,
-                            self.spaces.as_deref(),
-                        );
+                        let context = self.closure_context(w, catalog);
                         let w_dominates_v =
                             dominates_via(&mut context.lock().expect("context lock"), v)?;
                         w_dominates_v.map(|w_dominates_v| EquivalenceWitness {
@@ -864,7 +798,7 @@ impl Engine {
             None
         };
         let _span = NORMALIZE_SPAN.start();
-        let context = self.norms.for_view(view, catalog, &self.budget);
+        let context = self.norm_context(view, catalog);
         let queries = view.query_set();
         let verdict = {
             let mut ctx = context.lock().expect("norm context lock");
@@ -945,13 +879,7 @@ impl Engine {
         //    order never depends on worker scheduling.
         for &slot in &todo {
             let (_, check, flipped) = representatives[slot];
-            self.contexts.prewarm(
-                check,
-                flipped,
-                catalog,
-                &self.budget,
-                self.spaces.as_deref(),
-            );
+            self.prewarm(check, flipped, catalog);
         }
         let workers = effective_jobs(jobs).min(todo.len());
         if workers <= 1 {
@@ -1122,6 +1050,35 @@ mod tests {
             stats.combos,
             per_goal_combos
         );
+    }
+
+    #[test]
+    fn frontier_sweeps_reuse_the_checks_pooled_context() {
+        let (cat, view, goals) = shared_goal_setup();
+        let engine = Engine::new();
+        for goal in &goals {
+            let check = Check::Member {
+                view: view.clone(),
+                goal: goal.clone(),
+            };
+            engine.decide(&check, &cat).unwrap();
+        }
+        let checked = engine.enum_stats();
+        let pooled = engine.members(&view, 2, &cat).unwrap();
+        let swept = engine.enum_stats();
+        // One context, one more probe, and no new enumeration: the goals
+        // already built the space to the sweep's bound.
+        assert_eq!(swept.contexts, 1);
+        assert_eq!(swept.probes, checked.probes + 1);
+        assert_eq!(swept.combos, checked.combos);
+
+        let fresh = viewcap_core::capacity_members(&view, 2, &cat, engine.budget()).unwrap();
+        assert_eq!(pooled.len(), fresh.len());
+        for (p, f) in pooled.iter().zip(&fresh) {
+            assert!(p.query.equiv(&f.query));
+            assert_eq!(format!("{:?}", p.skeleton), format!("{:?}", f.skeleton));
+            assert_eq!(p.construction_size, f.construction_size);
+        }
     }
 
     #[test]
@@ -1374,7 +1331,8 @@ mod tests {
         assert!(engine.nonredundant(&view, &cat).unwrap().from_cache);
 
         // Satellite 1: normalization enumeration shows up in the engine's
-        // stats (no member/dominates checks ran, so it is all NormPool).
+        // stats (no member/dominates checks ran, so it is all the
+        // normalization pool).
         let stats = engine.enum_stats();
         assert_eq!(stats.contexts, 1, "simplify + nonredundant share");
         assert!(stats.probes > 0, "normalization probes counted");

@@ -224,6 +224,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::workload::Check;
+    use std::sync::Arc;
     use viewcap_core::{Query, View};
     use viewcap_expr::parse_expr;
 
@@ -292,7 +293,8 @@ mod tests {
 
         // And a third engine over the loaded cache answers all three goals
         // from it.
-        let e3 = Engine::from_config(crate::EngineConfig::new().cache(warmed)).unwrap();
+        let e3 =
+            Engine::from_config(crate::EngineConfig::new().shared_cache(Arc::new(warmed))).unwrap();
         for goal in ["pi{A}(R)", "pi{B}(R)", "pi{C}(R)"] {
             decide(&e3, &cat, &view, goal);
         }

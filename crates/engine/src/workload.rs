@@ -38,6 +38,33 @@ impl Check {
             Check::Equivalent { .. } => CheckKind::Equivalent,
         }
     }
+
+    /// The views the check is posed over, in operand order: the view of a
+    /// membership check, dominator then dominated, left then right.
+    pub(crate) fn views(&self) -> impl DoubleEndedIterator<Item = &View> {
+        let (first, second) = match self {
+            Check::Member { view, .. } => (view, None),
+            Check::Dominates {
+                dominator,
+                dominated,
+            } => (dominator, Some(dominated)),
+            Check::Equivalent { left, right } => (left, Some(right)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
+    /// [`Check::views`], mutably — how view edits swap operands.
+    pub(crate) fn views_mut(&mut self) -> impl Iterator<Item = &mut View> {
+        let (first, second) = match self {
+            Check::Member { view, .. } => (view, None),
+            Check::Dominates {
+                dominator,
+                dominated,
+            } => (dominator, Some(dominated)),
+            Check::Equivalent { left, right } => (left, Some(right)),
+        };
+        std::iter::once(first).chain(second)
+    }
 }
 
 /// A labeled check; the label rides through to reports.

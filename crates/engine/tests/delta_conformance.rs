@@ -195,7 +195,7 @@ fn delta_runs_conform_to_cold_full_runs() {
                 let vi = rng.gen_range(0..views.len());
                 let old = views[vi].clone();
                 let new_view = edited(&mut rng, &mut cat, &rels, &old);
-                let invalidated = delta.replace_view(&old, &new_view, &cat);
+                let invalidated = delta.replace_views(&[(old, new_view.clone())], &cat);
                 views[vi] = new_view;
 
                 let outcome = delta.run(&engine, &cat, jobs);

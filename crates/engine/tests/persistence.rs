@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use viewcap_base::Catalog;
 use viewcap_core::{Query, View};
 use viewcap_engine::{
@@ -91,7 +92,8 @@ fn round_trip_warm_hits_every_fingerprint() {
         }
 
         // ...and a fresh engine over the loaded cache computes nothing.
-        let warm_engine = Engine::from_config(EngineConfig::new().cache(loaded)).unwrap();
+        let warm_engine =
+            Engine::from_config(EngineConfig::new().shared_cache(Arc::new(loaded))).unwrap();
         let warm = warm_engine.run_batch(&load, &cat, 2);
         assert_eq!(warm.executed, 0, "seed {seed}: warm run recomputed");
         assert_eq!(warm.cache_hits, warm.distinct);
@@ -276,9 +278,9 @@ fn merged_caches_warm_start_both_workloads() {
     assert_eq!(report.inputs, 2);
     assert_eq!(report.entries_out, report.entries_in - report.replaced);
 
-    let third = Engine::from_config(
-        EngineConfig::new().cache(load_cache(&merged, None).expect("merged cache loads")),
-    )
+    let third = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(
+        load_cache(&merged, None).expect("merged cache loads"),
+    )))
     .unwrap();
     let warm_a = third.run_batch(&load_a, &cat, 1);
     let warm_b = third.run_batch(&load_b, &cat, 1);
@@ -345,9 +347,10 @@ fn compaction_preserves_content_and_bounds() {
     assert_eq!(compacted, twice, "compaction is idempotent");
 
     // Content round-trips: the compacted file warm-starts the workload.
-    let warm =
-        Engine::from_config(EngineConfig::new().cache(load_cache(&compacted, None).expect("load")))
-            .unwrap();
+    let warm = Engine::from_config(
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&compacted, None).expect("load"))),
+    )
+    .unwrap();
     assert_eq!(warm.run_batch(&load, &cat, 1).executed, 0);
 
     // Bounded: keep only the last entry of the sorted stream.
@@ -391,9 +394,10 @@ fn normalization_verdicts_round_trip_across_declaration_orders() {
     let bytes = save_cache(engine.cache(), &cat);
 
     // Same catalog: both verdicts are warm hits with identical payloads.
-    let warm =
-        Engine::from_config(EngineConfig::new().cache(load_cache(&bytes, None).expect("load")))
-            .unwrap();
+    let warm = Engine::from_config(
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&bytes, None).expect("load"))),
+    )
+    .unwrap();
     let s = warm.simplify(&view, &cat).unwrap();
     let k = warm.nonredundant(&view, &cat).unwrap();
     assert!(s.from_cache, "simplify must warm-hit");
@@ -408,9 +412,10 @@ fn normalization_verdicts_round_trip_across_declaration_orders() {
     // schemes translate into the flipped catalog's attribute ids — the
     // rendered TRSs must match the cold run's.
     let (flipped_cat, flipped_view) = build(true);
-    let foreign =
-        Engine::from_config(EngineConfig::new().cache(load_cache(&bytes, None).expect("load")))
-            .unwrap();
+    let foreign = Engine::from_config(
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&bytes, None).expect("load"))),
+    )
+    .unwrap();
     let s2 = foreign.simplify(&flipped_view, &flipped_cat).unwrap();
     assert!(s2.from_cache, "flipped catalog must still warm-hit");
     let render = |d: &viewcap_engine::Decision, cat: &Catalog| match &*d.verdict {
@@ -447,8 +452,10 @@ fn capacity_one_engine_is_correct_and_exactly_counted() {
     let (c1, c2) = (check("pi{A}(R)"), check("pi{B}(R)"));
 
     let unbounded = Engine::new();
-    let tiny =
-        Engine::from_config(EngineConfig::new().cache(VerdictCache::bounded(Some(1)))).unwrap();
+    let tiny = Engine::from_config(
+        EngineConfig::new().shared_cache(Arc::new(VerdictCache::bounded(Some(1)))),
+    )
+    .unwrap();
 
     // c1 (miss) — c2 (miss, evicts c1) — c1 (miss again!) — c1 (hit).
     for (i, c) in [&c1, &c2, &c1, &c1].into_iter().enumerate() {
@@ -479,8 +486,10 @@ fn capacity_one_engine_is_correct_and_exactly_counted() {
 fn capacity_one_batches_match_unbounded_batches() {
     for seed in 0..4u64 {
         let (cat, load) = random_workload(seed);
-        let tiny =
-            Engine::from_config(EngineConfig::new().cache(VerdictCache::bounded(Some(1)))).unwrap();
+        let tiny = Engine::from_config(
+            EngineConfig::new().shared_cache(Arc::new(VerdictCache::bounded(Some(1)))),
+        )
+        .unwrap();
         let free = Engine::new();
         let a = tiny.run_batch(&load, &cat, 2);
         let b = free.run_batch(&load, &cat, 2);

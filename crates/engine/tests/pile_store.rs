@@ -17,7 +17,7 @@
 //! lives in the workspace root's `tests/pile_cli.rs`, next to the binary.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use viewcap_base::Catalog;
 use viewcap_core::{Query, View};
 use viewcap_engine::{
@@ -176,7 +176,7 @@ fn concurrent_appends_never_tear_and_reload_equals_merge() {
     // And the loaded cache actually answers: hits for every worker's goals.
     let warmed = store.load(None).unwrap();
     let cache_entries = warmed.stats().entries;
-    let engine = Engine::from_config(EngineConfig::new().cache(warmed)).unwrap();
+    let engine = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(warmed))).unwrap();
     let mut cat = fleet_catalog();
     for w in 0..WORKERS {
         let view = worker_view(&mut cat, w);

@@ -9,8 +9,8 @@
 //! scenario workloads this family was built to drive:
 //!
 //! * [`frontier_diff_stream`] — capacity-frontier diffing: version pairs
-//!   diffed repeatedly with `diff`, so each pair's shared
-//!   `ClosureContext`s amortize across the stream;
+//!   diffed repeatedly with `diff`, so each version's pooled
+//!   `ClosureContext` amortizes across the stream;
 //! * [`txn_stream`] — multi-edit transactions: `txn { }` blocks batch
 //!   several edits and invalidate the standing workload once, followed by
 //!   `recheck`.
@@ -228,8 +228,8 @@ pub fn fleet_stream(seed: u64, spec: &FleetSpec) -> FleetScenario {
 /// The capacity-frontier diffing workload: `views/2` version pairs — each
 /// a two-projection view `D{p}a` and its narrowed successor `D{p}b` — and
 /// a zipf-distributed stream of `diff` requests over the pairs. Popular
-/// pairs are re-diffed many times, exercising the per-pair shared
-/// `ClosureContext` cache. A seed batch of member checks plus occasional
+/// pairs are re-diffed many times, exercising the engine's pooled
+/// `ClosureContext`s. A seed batch of member checks plus occasional
 /// interleaved checks keep the engine's per-check latency histogram live,
 /// so throughput harnesses can report p50/p99 for this stream too.
 pub fn frontier_diff_stream(seed: u64, spec: &FleetSpec) -> FleetScenario {

@@ -38,6 +38,11 @@ impl Counter {
         }
     }
 
+    /// The counter's registered name.
+    pub const fn name(&self) -> &'static str {
+        self.name
+    }
+
     #[inline]
     pub fn add(&'static self, n: u64) {
         if !enabled() {

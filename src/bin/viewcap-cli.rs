@@ -697,10 +697,10 @@ fn main() -> ExitCode {
     }
 
     // One `EngineConfig` names everything the run needs — cache source
-    // (file, pile, or a fresh bounded cache), space library, worker count —
-    // and `Session::open` loads it all eagerly: a corrupt file errors here,
+    // (file, pile, or a fresh bounded cache) and space library — and
+    // `Session::open` loads it all eagerly: a corrupt file errors here,
     // never a silent cold start.
-    let mut config = EngineConfig::new().cache_max(cache_max).jobs(options.jobs);
+    let mut config = EngineConfig::new().cache_max(cache_max);
     if let Some(path) = &cache_file {
         config = config.cache_file(path);
     }

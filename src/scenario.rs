@@ -66,7 +66,10 @@
 //! All `check`s (single or batched) — and the `simplify` /
 //! `nonredundant` normalization commands — route through the
 //! [`viewcap_engine::Engine`], so repeated questions — within a batch or
-//! across the whole scenario — are answered from the verdict cache. Every
+//! across the whole scenario — are answered from the verdict cache;
+//! `frontier` and `diff` enumerate through the engine's context pool
+//! ([`viewcap_engine::Engine::members`]), sharing each view's candidate
+//! space with the checks posed against it. Every
 //! decided check also joins the scenario's *standing workload*
 //! ([`viewcap_engine::DeltaWorkload`]): `edit` blocks invalidate exactly
 //! the standing checks that touch the edited view, and `recheck` re-poses
@@ -77,14 +80,12 @@
 //! a fresh catalog relation (the display name gains a `$n` suffix), since
 //! a relation name's type is fixed at declaration.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use viewcap_base::{Catalog, RelId};
-use viewcap_core::closure::capacity_members;
-use viewcap_core::{frontier_diff, ClosureContext, Query, SearchBudget, View};
+use viewcap_core::{frontier_diff, Query, View};
 use viewcap_engine::{
-    view_fingerprint, CacheStats, Check, Decision, DeltaWorkload, Engine, EnumStats, Fingerprint,
-    Request, Verdict, Workload,
+    CacheStats, Check, Decision, DeltaWorkload, Engine, EnumStats, Request, Verdict, Workload,
 };
 use viewcap_expr::display::{display_expr, display_scheme};
 use viewcap_expr::parse_expr;
@@ -194,7 +195,6 @@ struct NamedView {
 struct Runner<'a> {
     catalog: Catalog,
     views: BTreeMap<String, NamedView>,
-    budget: SearchBudget,
     engine: &'a Engine,
     delta: DeltaWorkload,
     jobs: usize,
@@ -206,11 +206,6 @@ struct Runner<'a> {
     permute_seed: Option<u64>,
     /// Buffered `(name, attrs)` declarations awaiting the permuted flush.
     rel_buffer: Vec<(String, Vec<String>)>,
-    /// One shared [`ClosureContext`] pair per diffed version pair, keyed by
-    /// the two versions' content fingerprints: re-diffing a pair — or
-    /// growing its atom bound — reuses the lazily extended candidate
-    /// spaces instead of re-enumerating from scratch.
-    diff_contexts: HashMap<(Fingerprint, Fingerprint), (ClosureContext, ClosureContext)>,
 }
 
 /// Run a scenario from source text with default options (sequential).
@@ -243,13 +238,11 @@ pub fn run_scenario_with_engine(
         engine,
         delta: DeltaWorkload::new(),
         jobs: options.jobs,
-        budget: engine.budget().clone(),
         report: String::new(),
         yes: 0,
         no: 0,
         permute_seed: None,
         rel_buffer: Vec::new(),
-        diff_contexts: HashMap::new(),
     };
     let err = |line: usize, msg: String| ScenarioError { line, msg };
 
@@ -388,6 +381,13 @@ fn strip_comment(line: &str) -> &str {
         Some(p) => &line[..p],
         None => line,
     }
+}
+
+fn atom_bound(k_src: &str) -> Result<usize, String> {
+    k_src
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad atom bound `{k_src}`"))
 }
 
 fn split_word(line: &str) -> (&str, &str) {
@@ -661,12 +661,12 @@ impl Runner<'_> {
         name: &str,
         body: &[(usize, String)],
     ) -> Result<(), (usize, String)> {
-        let (old, new_view) = self.apply_edit(lineno, name, body)?;
-        let invalidated = self.delta.replace_view(&old, &new_view, &self.catalog);
+        let edit = [self.apply_edit(lineno, name, body)?];
+        let invalidated = self.delta.replace_views(&edit, &self.catalog);
         let _ = writeln!(
             self.report,
             "edit {name}: {} defining relation(s), {invalidated} standing check(s) invalidated",
-            new_view.len()
+            edit[0].1.len()
         );
         Ok(())
     }
@@ -936,13 +936,12 @@ impl Runner<'_> {
 
     fn cmd_frontier(&mut self, rest: &str) -> Result<(), String> {
         let (vname, k_src) = split_word(rest);
-        let view = self.view(vname)?.clone();
-        let k: usize = k_src
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad atom bound `{k_src}`"))?;
-        let members =
-            capacity_members(&view, k, &self.catalog, &self.budget).map_err(|e| e.to_string())?;
+        let view = self.view(vname)?;
+        let k = atom_bound(k_src)?;
+        let members = self
+            .engine
+            .members(view, k, &self.catalog)
+            .map_err(|e| e.to_string())?;
         let _ = writeln!(
             self.report,
             "frontier {vname} {k}: {} distinct member(s)",
@@ -962,36 +961,20 @@ impl Runner<'_> {
     /// `diff A B K` — the capacity-frontier diff of two view versions at
     /// atom bound `K`: which bounded frontier members `A` exposes and `B`
     /// does not (`-` lines, capabilities lost going A→B) and vice versa
-    /// (`+` lines, gained). Equals the set difference of two independent
-    /// `frontier` sweeps; each version pair shares one [`ClosureContext`]
-    /// pair across diffs, so repeated or growing-`K` diffs pay only the
-    /// incremental enumeration.
+    /// (`+` lines, gained). Equals the set difference of two `frontier`
+    /// sweeps, each through the engine's pooled context for its view, so
+    /// repeated or growing-`K` diffs pay only the incremental enumeration.
     fn cmd_diff(&mut self, rest: &str) -> Result<(), String> {
         let (a, rest) = split_word(rest);
         let (b, k_src) = split_word(rest);
-        let left_view = self.view(a)?.clone();
-        let right_view = self.view(b)?.clone();
-        let k: usize = k_src
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad atom bound `{k_src}`"))?;
-        let key = (
-            view_fingerprint(&left_view, &self.catalog),
-            view_fingerprint(&right_view, &self.catalog),
-        );
-        let Runner {
-            diff_contexts,
-            catalog,
-            budget,
-            ..
-        } = self;
-        let (left, right) = diff_contexts.entry(key).or_insert_with(|| {
-            (
-                ClosureContext::new(left_view.query_set().queries(), catalog, budget),
-                ClosureContext::new(right_view.query_set().queries(), catalog, budget),
-            )
-        });
-        let diff = frontier_diff(left, right, k).map_err(|e| e.to_string())?;
+        let (left, right) = (self.view(a)?, self.view(b)?);
+        let k = atom_bound(k_src)?;
+        let members = |view| {
+            self.engine
+                .members(view, k, &self.catalog)
+                .map_err(|e| e.to_string())
+        };
+        let diff = frontier_diff(&members(left)?, &members(right)?);
         let _ = writeln!(
             self.report,
             "diff {a} {b} {k}: {} member(s) only in {a}, {} only in {b}, {} shared",

@@ -8,6 +8,7 @@
 //! Jobs under test default to {1, 4}; override with
 //! `VIEWCAP_CONFORMANCE_JOBS` (CI runs both in separate steps).
 
+use std::sync::Arc;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_engine::{load_cache, merge_cache_bytes, save_cache, Engine, EngineConfig};
 
@@ -71,10 +72,9 @@ fn permuted_catalog_hits_the_persisted_cache_with_identical_verdicts() {
         // must be answered by the cache (zero misses), and the rendered
         // verdicts — witnesses included — must match byte for byte.
         for seed in [1u64, 7, 23] {
-            let warm_engine = Engine::from_config(
-                EngineConfig::new()
-                    .cache(load_cache(&bytes, None).expect("persisted cache reloads")),
-            )
+            let warm_engine = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(
+                load_cache(&bytes, None).expect("persisted cache reloads"),
+            )))
             .unwrap();
             let warm = run_scenario_with_engine(&permuted(seed), &options, &warm_engine).unwrap();
             let stats = warm.stats;
@@ -103,9 +103,10 @@ fn permuted_catalog_saves_a_cache_the_original_order_hits() {
     let perm = run_scenario_with_engine(&permuted(5), &options, &perm_engine).unwrap();
     let bytes = save_cache(perm_engine.cache(), &perm.catalog);
 
-    let warm_engine =
-        Engine::from_config(EngineConfig::new().cache(load_cache(&bytes, None).expect("reload")))
-            .unwrap();
+    let warm_engine = Engine::from_config(
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&bytes, None).expect("reload"))),
+    )
+    .unwrap();
     let warm = run_scenario_with_engine(BODY, &options, &warm_engine).unwrap();
     assert_eq!(warm.stats.misses, 0, "report:\n{}", warm.report);
     assert_eq!(verdict_lines(&perm.report), verdict_lines(&warm.report));
@@ -137,9 +138,9 @@ fn merged_worker_caches_warm_start_a_third_run() {
     assert_eq!(report.inputs, 2);
     assert!(report.entries_out > 0);
 
-    let third = Engine::from_config(
-        EngineConfig::new().cache(load_cache(&merged, None).expect("merged cache loads")),
-    )
+    let third = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(
+        load_cache(&merged, None).expect("merged cache loads"),
+    )))
     .unwrap();
     let out3 = run_scenario_with_engine(&permuted(3), &options, &third).unwrap();
     assert_eq!(

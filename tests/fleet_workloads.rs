@@ -1,12 +1,14 @@
 //! Fleet workload conformance: generated zipf streams run clean through
 //! the scenario engine, `txn` blocks agree byte-for-byte with sequential
-//! edits, and `diff` agrees with independent frontier enumerations — at
-//! every `--jobs` setting.
+//! edits, and `frontier`/`diff` agree with independent one-shot frontier
+//! enumerations — at every `--jobs` setting.
 
+use std::fmt::Write as _;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_base::Catalog;
-use viewcap_core::{closure_members, Query, SearchBudget};
+use viewcap_core::{closure_members, ClosureMember, Query, SearchBudget};
 use viewcap_engine::Engine;
+use viewcap_expr::display::display_scheme;
 use viewcap_expr::parse_expr;
 use viewcap_gen::{fleet_stream, frontier_diff_stream, txn_stream, FleetSpec};
 
@@ -141,5 +143,97 @@ fn diff_stream_matches_independent_frontier_enumeration() {
             "{line}"
         );
         assert!(line.ends_with(&format!("{shared} shared")), "{line}");
+    }
+}
+
+/// `frontier` and `diff` enumerate through the engine's pooled closure
+/// contexts, which membership checks of the same view extend, which the
+/// pool retires past its bound, and which both sides of a self-diff share.
+/// In each case the output must match one-shot `closure_members` sweeps
+/// line for line.
+#[test]
+fn pooled_frontier_and_diff_match_one_shot_enumeration() {
+    // More single-view probes than the engine's context pool retains, so
+    // V's and W's contexts are retired between the two sweeps.
+    const FILLERS: usize = 80;
+    let mut src = String::from(
+        "rel R(A, B, C)\n\
+         view V {\n  L = pi{A,B}(R)\n  M = pi{B,C}(R)\n}\n\
+         view W {\n  N = pi{A,B}(R)\n}\n",
+    );
+    // 1. A 3-atom membership goal extends V's pooled space past the
+    //    sweeps' bound before they run.
+    src.push_str("check member V pi{A}(R) * pi{B}(R) * pi{C}(R)\nfrontier V 2\ndiff V W 2\n");
+    // 2. Evict V and W, then sweep again through rebuilt contexts.
+    for i in 0..FILLERS {
+        let _ = write!(
+            src,
+            "rel S{i}(A, B)\nview F{i} {{\n  P{i} = pi{{A}}(S{i})\n}}\ncheck member F{i} pi{{A}}(S{i})\n"
+        );
+    }
+    src.push_str("frontier V 2\ndiff V W 2\n");
+    // 3. Both sides of a self-diff resolve to one pooled context.
+    src.push_str("diff V V 2\n");
+
+    for jobs in [1usize, 4] {
+        let engine = Engine::new();
+        let out = run_scenario_with_engine(&src, &ScenarioOptions { jobs }, &engine).unwrap();
+        // V and W were each built twice: before and after their eviction.
+        assert_eq!(
+            out.enum_stats.contexts,
+            FILLERS as u64 + 4,
+            "jobs {jobs}: stats {}",
+            out.enum_stats
+        );
+
+        let cat = &out.catalog;
+        let q = |src: &str| Query::from_expr(parse_expr(src, cat).unwrap(), cat);
+        let budget = SearchBudget::default();
+        let v = closure_members(&[q("pi{A,B}(R)"), q("pi{B,C}(R)")], 2, cat, &budget).unwrap();
+        let w = closure_members(&[q("pi{A,B}(R)")], 2, cat, &budget).unwrap();
+        let line = |sign: &str, m: &ClosureMember| {
+            format!(
+                "  {sign}TRS {} (construction size {})\n",
+                display_scheme(&m.query.trs(), cat),
+                m.construction_size
+            )
+        };
+        let only = |these: &[ClosureMember], those: &[ClosureMember]| -> Vec<ClosureMember> {
+            these
+                .iter()
+                .filter(|m| !those.iter().any(|n| n.query.equiv(&m.query)))
+                .cloned()
+                .collect()
+        };
+        let (only_v, only_w) = (only(&v, &w), only(&w, &v));
+
+        let mut sweeps = format!("frontier V 2: {} distinct member(s)\n", v.len());
+        for m in &v {
+            sweeps.push_str(&line("", m));
+        }
+        let _ = writeln!(
+            sweeps,
+            "diff V W 2: {} member(s) only in V, {} only in W, {} shared",
+            only_v.len(),
+            only_w.len(),
+            v.len() - only_v.len()
+        );
+        for m in &only_v {
+            sweeps.push_str(&line("- ", m));
+        }
+        for m in &only_w {
+            sweeps.push_str(&line("+ ", m));
+        }
+        assert_eq!(
+            out.report.matches(&sweeps).count(),
+            2,
+            "jobs {jobs}: expected\n{sweeps}\nin report:\n{}",
+            out.report
+        );
+        let self_diff = format!(
+            "diff V V 2: 0 member(s) only in V, 0 only in V, {} shared\n",
+            v.len()
+        );
+        assert!(out.report.ends_with(&self_diff), "jobs {jobs}");
     }
 }

@@ -89,6 +89,7 @@ fn incremental_edit_scenario() {
 
 #[test]
 fn persisted_cache_warms_a_rerun_without_changing_verdicts() {
+    use std::sync::Arc;
     use viewcap_engine::{load_cache, save_cache, Engine, EngineConfig};
 
     let src = include_str!("../scenarios/incremental_edit.vcap");
@@ -101,7 +102,7 @@ fn persisted_cache_warms_a_rerun_without_changing_verdicts() {
 
     // Warm run over the reloaded cache: nothing recomputes...
     let warm_engine = Engine::from_config(
-        EngineConfig::new().cache(load_cache(&bytes, None).expect("round trip")),
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&bytes, None).expect("round trip"))),
     )
     .unwrap();
     let warm = run_scenario_with_engine(src, &options, &warm_engine).unwrap();
@@ -127,6 +128,7 @@ fn persisted_cache_warms_a_rerun_without_changing_verdicts() {
 fn cross_catalog_scenarios_share_one_cache() {
     // The shipped two-step fleet demo: the base file's persisted cache
     // fully answers the permuted file, check lines byte-identical.
+    use std::sync::Arc;
     use viewcap_engine::{load_cache, save_cache, Engine, EngineConfig};
 
     let base = include_str!("../scenarios/cross_catalog_base.vcap");
@@ -139,7 +141,7 @@ fn cross_catalog_scenarios_share_one_cache() {
     let bytes = save_cache(engine.cache(), &cold.catalog);
 
     let warm_engine = Engine::from_config(
-        EngineConfig::new().cache(load_cache(&bytes, None).expect("round trip")),
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&bytes, None).expect("round trip"))),
     )
     .unwrap();
     let warm = run_scenario_with_engine(permuted, &options, &warm_engine).unwrap();
@@ -182,12 +184,46 @@ fn normal_form_scenario() {
     assert!(out.enum_stats.combos > 0, "stats: {}", out.enum_stats);
 }
 
+#[test]
+fn capacity_diff_scenario() {
+    let src = include_str!("../scenarios/capacity_diff.vcap");
+    let out = run_scenario(src).unwrap();
+    assert!(
+        out.report
+            .contains("frontier Before 2: 12 distinct member(s)"),
+        "report:\n{}",
+        out.report
+    );
+    assert!(
+        out.report
+            .contains("diff Before After 2: 4 member(s) only in Before, 4 only in After, 8 shared"),
+        "report:\n{}",
+        out.report
+    );
+    assert!(out
+        .report
+        .contains("diff After After 2: 0 member(s) only in After, 0 only in After, 12 shared"));
+    assert_eq!((out.yes, out.no), (0, 0));
+    // Frontier and diff sweeps enumerate through the engine's context
+    // pool, so a scenario of nothing else still reports its work: one
+    // context per view, one probe per sweep.
+    assert!(out.enum_stats.contexts > 0, "stats: {}", out.enum_stats);
+    assert!(out.enum_stats.combos > 0, "stats: {}", out.enum_stats);
+    assert_eq!(
+        (out.enum_stats.contexts, out.enum_stats.probes),
+        (2, 5),
+        "stats: {}",
+        out.enum_stats
+    );
+}
+
 /// Warm normal_form re-runs are verdict-cache hits — across a persisted
 /// save → load cycle — with a byte-identical report: the cached
 /// `Simplified` schemes and `Nonredundant` indices must reproduce the
 /// cold run's relation minting and report lines exactly.
 #[test]
 fn normal_form_warm_rerun_is_cached_and_byte_identical() {
+    use std::sync::Arc;
     use viewcap_engine::{load_cache, save_cache, Engine, EngineConfig};
 
     let src = include_str!("../scenarios/normal_form.vcap");
@@ -199,7 +235,7 @@ fn normal_form_warm_rerun_is_cached_and_byte_identical() {
     let bytes = save_cache(cold_engine.cache(), &cold.catalog);
 
     let warm_engine = Engine::from_config(
-        EngineConfig::new().cache(load_cache(&bytes, None).expect("round trip")),
+        EngineConfig::new().shared_cache(Arc::new(load_cache(&bytes, None).expect("round trip"))),
     )
     .unwrap();
     let warm = run_scenario_with_engine(src, &options, &warm_engine).unwrap();
