@@ -14,6 +14,10 @@
 //! Digests depend only on the relation itself, so they are stable under
 //! catalog *growth* as well: interning more attributes or relations later
 //! never changes an existing relation's digest.
+//!
+//! [`fnv1a64`] is the payload checksum every persisted format in the
+//! workspace stamps into its header (verdict caches, space snapshots and
+//! space libraries), kept here so the formats share one definition.
 
 use std::fmt;
 
@@ -117,6 +121,19 @@ pub fn rel_content_digest<'a>(name: &str, attr_names: impl Iterator<Item = &'a s
     RelDigest(h.finish())
 }
 
+/// 64-bit FNV-1a over `bytes`: the checksum of the persisted cache, space
+/// snapshot and space library formats. Its multiplier is
+/// `0x1000_0000_01B3`, not the standard FNV prime `0x100_0000_01B3`; the
+/// formats were written with it, so changing it changes those formats.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01B3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +162,13 @@ mod tests {
         h2.str("a");
         h2.str("bc");
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn fnv1a64_is_pinned() {
+        // Persisted files carry these checksums; the values must not move.
+        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xAF74_D84C_8601_EC8C);
+        assert_eq!(fnv1a64(b"foobar"), 0xF8AC_2471_F739_67E8);
     }
 }

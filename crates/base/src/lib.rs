@@ -17,8 +17,7 @@
 //! * **instantiations** `α` mapping every relation name to a relation of its
 //!   type ([`instance`]).
 //!
-//! Two representation decisions (documented in `DESIGN.md`) shape the whole
-//! workspace:
+//! Two representation decisions shape the whole workspace:
 //!
 //! 1. Domains are disjoint *by construction*: a [`Symbol`] carries its
 //!    attribute, so it cannot occur in a foreign column.
@@ -37,7 +36,7 @@ pub mod scheme;
 pub mod symbol;
 
 pub use catalog::Catalog;
-pub use digest::{rel_content_digest, ContentHasher, RelDigest};
+pub use digest::{fnv1a64, rel_content_digest, ContentHasher, RelDigest};
 pub use error::BaseError;
 pub use ids::{AttrId, RelId};
 pub use instance::Instantiation;

@@ -8,8 +8,8 @@
 //! `β(RN(T)) ⊆ 𝒯` realizes `Q` (a *construction*).
 //!
 //! **Theorem 2.4.11** makes membership decidable. Our procedure (justified
-//! in DESIGN.md §5.3 by the syntactic subtemplate lemma, replacing the
-//! paper's `J_k` enumeration):
+//! by the syntactic subtemplate lemma stated in `viewcap_template::search`,
+//! replacing the paper's `J_k` enumeration):
 //!
 //! 1. mint a scratch relation name `λᵢ` of type `TRS(Tᵢ)` per query in `𝒯`;
 //! 2. enumerate normalized expressions over the `λᵢ` with at most

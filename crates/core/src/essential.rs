@@ -17,7 +17,7 @@
 //! construction of `T` from `ℬ`. We decide this by enumerating exhibited
 //! constructions bounded as in the capacity procedure (the Lemma 2.4.7
 //! restriction keeps homomorphic images and block structure intact, so the
-//! bound loses nothing; DESIGN.md §5.4) together with *all* homomorphisms
+//! bound loses nothing) together with *all* homomorphisms
 //! per construction.
 //!
 //! **Corollary 3.2.6** (essential ⇒ the containing template is

@@ -61,7 +61,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use viewcap_base::{AttrId, Catalog, RelId, Scheme, Symbol};
+use viewcap_base::{fnv1a64, AttrId, Catalog, RelId, Scheme, Symbol};
 use viewcap_core::capacity::ClosureProof;
 use viewcap_core::equivalence::{DominanceWitness, EquivalenceWitness};
 use viewcap_obs as obs;
@@ -155,15 +155,6 @@ impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01B3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------- writing

@@ -22,6 +22,7 @@ use crate::persist::{write_bytes_atomic, PersistError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
+use viewcap_base::fnv1a64;
 use viewcap_obs as obs;
 
 /// First bytes of a space-library file.
@@ -90,15 +91,6 @@ impl From<PersistError> for SpaceStoreError {
             other => SpaceStoreError::Io(std::io::Error::other(other.to_string())),
         }
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01B3);
-    }
-    h
 }
 
 /// A digest-keyed collection of candidate-space snapshots.

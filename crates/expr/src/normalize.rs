@@ -1,6 +1,8 @@
 //! Expression normalization.
 //!
-//! Normal form (used by the bounded decision procedures; DESIGN.md §5.3):
+//! Normal form (the grammar the bounded decision procedures enumerate; the
+//! syntactic subtemplate lemma in `viewcap_template::search` is why it is
+//! enough):
 //!
 //! * joins are flattened — no join node has a join child;
 //! * nested projections are collapsed — `π_X(π_Y(E)) ⇒ π_X(E)` (legal

@@ -4,7 +4,7 @@
 //! per tagged tuple, one column per universe attribute, and a trailing tag
 //! column `η: ABC`. Cells outside the tag's scheme print as `·` (the paper
 //! fills them with throwaway fresh symbols; our sparse representation omits
-//! them — see DESIGN.md §5.2).
+//! them).
 //!
 //! Symbols render as `0A` (distinguished) or `a1` (nondistinguished: the
 //! attribute name lowercased plus the ordinal).

@@ -545,6 +545,30 @@ mod tests {
         let only_r = Template::new(vec![row_r(0, 1, 2)]).unwrap();
         assert_eq!(candidate_lists(&only_s, &only_r), naive(&only_s, &only_r));
         assert_eq!(candidate_lists(&only_s, &only_r), None);
+
+        // A thousand-relation catalog, one tuple per tag (a fleet's wide
+        // join): tags past one varint byte must keep separate buckets, so
+        // each source tuple meets exactly its own tag's one target tuple
+        // where the flat scan examines all thousand.
+        let mut wide = Catalog::new();
+        let tags: Vec<RelId> = (0..1000)
+            .map(|i| {
+                let v = format!("V{i}");
+                wide.relation(&format!("T{i}"), &["K", &v]).unwrap()
+            })
+            .collect();
+        let atom = |i: usize| Template::atom(tags[i], &wide).tuples()[0].clone();
+        let dst = Template::new((0..1000).map(atom).collect()).unwrap();
+        for k in [1usize, 2, 4, 8] {
+            let src = Template::new((0..k).map(|i| atom(i * (1000 / k))).collect()).unwrap();
+            assert_eq!(candidate_lists(&src, &dst), naive(&src, &dst), "{k} tuples");
+            let examined: usize = src
+                .tuples()
+                .iter()
+                .map(|st| dst.tuple_index().by_tag(st.rel()).len())
+                .sum();
+            assert_eq!(examined, src.len(), "{k} tuples");
+        }
     }
 
     /// Deterministic splitmix64 stream for the seeded differential suite.

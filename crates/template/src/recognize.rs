@@ -3,8 +3,7 @@
 //! The paper relies on two facts from Connors & Vianu, *Tableaux which
 //! define expression mappings* (XP2 1981) — Propositions 2.4.5/2.4.6 — to
 //! know that expression templates are recognizable. That paper is not
-//! available; we implement recognition constructively instead
-//! (DESIGN.md §5.2–5.3):
+//! available; we implement recognition constructively instead:
 //!
 //! > A template `S` is an *m.r.e. template* (realizes some project–join
 //! > expression) **iff** `S ≡ T_E` for a normalized expression `E` over

@@ -14,10 +14,10 @@
 //! root  ::=  join
 //! ```
 //!
-//! Completeness rests on the *syntactic subtemplate lemma* (DESIGN.md §5.3):
+//! Completeness rests on the *syntactic subtemplate lemma*:
 //! whenever the sought query is realizable at all, it is realizable by a
 //! normalized expression whose atom count is bounded by the tuple count of
-//! the (reduced) goal template. One corner is documented there and in
+//! the (reduced) goal template. One corner is documented in
 //! [`for_each_candidate`]: skeletons requiring a fully hidden operand whose
 //! hidden columns overlap the live TRS may escape the normalized grammar;
 //! the literal paper procedure (`viewcap-core::paper_procedure`) serves as a
@@ -83,8 +83,8 @@ impl fmt::Display for SearchOverflow {
 
 impl std::error::Error for SearchOverflow {}
 
-/// Counters describing what a search did — for the benchmark harness and
-/// the dedup-ablation study (EXPERIMENTS.md B8).
+/// Counters describing what a search did; the engine's enumeration
+/// statistics sum them over its contexts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Join combinations examined.

@@ -38,7 +38,7 @@ use crate::index::{scheme_key, ByteTrie};
 use crate::search::{CandidateSpace, Level, Part, SearchOptions, SearchStats};
 use crate::template::{TaggedTuple, Template};
 use std::fmt;
-use viewcap_base::{AttrId, Catalog, ContentHasher, RelId, Scheme, Symbol};
+use viewcap_base::{fnv1a64, AttrId, Catalog, ContentHasher, RelId, Scheme, Symbol};
 use viewcap_expr::Expr;
 
 /// File magic for a single space snapshot.
@@ -87,17 +87,6 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// FNV-1a over `bytes` (the verdict-cache persist format uses the same
-/// checksum; keeping one algorithm keeps tooling simple).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01B3);
-    }
-    h
-}
 
 /// Content digest addressing a space: options + the ordered sequence of
 /// atom target relation schemes, by attribute *name*.

@@ -21,6 +21,9 @@
 //! ```
 //!
 //! Every response is `OK <len>\n<len bytes>` or `ERR <len>\n<len bytes>`.
+//! Both sides refuse a header line longer than [`MAX_HEADER_BYTES`] and a
+//! `<len>` above [`MAX_FRAME_BYTES`] before allocating anything for it;
+//! the daemon answers either with `ERR`.
 //! A `RUN` response body is *exactly* the batch CLI's stdout for the same
 //! scenario — the report plus the final `-- N check(s) answered YES…`
 //! line — so transcripts can be diffed byte-for-byte against `viewcap-cli
@@ -53,6 +56,32 @@ use std::sync::{Arc, Mutex};
 
 use crate::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_engine::{Engine, EngineConfig, PileStore, SpaceLibrary, VerdictCache};
+
+/// Longest header line either side reads, newline included. A `RUN`
+/// header is a few dozen bytes plus the warm key.
+pub const MAX_HEADER_BYTES: u64 = 4096;
+
+/// Largest body either side accepts: a `RUN` scenario or a response.
+/// The largest the tests and the benchmark send is about 10 KiB.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Read one header line, newline stripped. `Ok(None)` when the line runs
+/// past [`MAX_HEADER_BYTES`] without ending.
+fn read_header(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_HEADER_BYTES)
+        .read_until(b'\n', &mut line)?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() as u64 == MAX_HEADER_BYTES {
+        return Ok(None);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
 
 /// Configuration of one [`serve`] daemon.
 #[derive(Clone, Debug)]
@@ -284,10 +313,11 @@ fn handle_connection(
     shutdown: &mut bool,
 ) -> Result<(), ServeError> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut header = String::new();
-    reader.read_line(&mut header)?;
     let mut stream = stream;
-    let header = header.trim_end_matches('\n');
+    let Some(header) = read_header(&mut reader)? else {
+        respond(&mut stream, false, "header line too long\n")?;
+        return Ok(());
+    };
     let mut words = header.split(' ');
     match words.next() {
         Some("PING") => respond(&mut stream, true, "pong\n")?,
@@ -318,6 +348,12 @@ fn handle_connection(
                     }
                 },
             };
+            if len > MAX_FRAME_BYTES {
+                let msg =
+                    format!("scenario of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap\n");
+                respond(&mut stream, false, &msg)?;
+                return Ok(());
+            }
             let mut source = vec![0u8; len];
             reader.read_exact(&mut source)?;
             let Ok(source) = String::from_utf8(source) else {
@@ -399,9 +435,8 @@ pub fn client_request(
     stream.flush()?;
 
     let mut reader = BufReader::new(stream);
-    let mut header = String::new();
-    reader.read_line(&mut header)?;
-    let header = header.trim_end_matches('\n');
+    let header = read_header(&mut reader)?
+        .ok_or_else(|| ServeError::Protocol("response header too long".to_owned()))?;
     let (ok, len) = match header.split_once(' ') {
         Some(("OK", len)) => (true, len),
         Some(("ERR", len)) => (false, len),
@@ -414,6 +449,11 @@ pub fn client_request(
     let len: usize = len
         .parse()
         .map_err(|_| ServeError::Protocol(format!("bad response length in {header:?}")))?;
+    if len > MAX_FRAME_BYTES {
+        return Err(ServeError::Protocol(format!(
+            "response of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )));
+    }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
     let body = String::from_utf8(body)

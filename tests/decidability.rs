@@ -221,7 +221,7 @@ fn raising_the_atom_bound_changes_nothing() {
 }
 
 /// Conditional queries via disjoint-TRS joins are IN the closure — the
-/// π_{TRS(T₂)}(T₁ ⋈ T₂) construction (documented in DESIGN.md §5.3).
+/// π_{TRS(T₂)}(T₁ ⋈ T₂) construction.
 #[test]
 fn conditional_queries_are_derivable() {
     let mut cat = Catalog::new();

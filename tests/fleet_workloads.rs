@@ -4,7 +4,7 @@
 //! enumerations — at every `--jobs` setting.
 
 use std::fmt::Write as _;
-use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
+use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions, ScenarioOutcome};
 use viewcap_base::Catalog;
 use viewcap_core::{closure_members, ClosureMember, Query, SearchBudget};
 use viewcap_engine::Engine;
@@ -22,11 +22,10 @@ fn small_spec() -> FleetSpec {
     }
 }
 
-fn run(src: &str, jobs: usize) -> (String, usize, usize) {
+fn run(src: &str, jobs: usize) -> ScenarioOutcome {
     let engine = Engine::new();
     let options = ScenarioOptions { jobs };
-    let out = run_scenario_with_engine(src, &options, &engine).unwrap();
-    (out.report, out.yes, out.no)
+    run_scenario_with_engine(src, &options, &engine).unwrap()
 }
 
 #[test]
@@ -34,10 +33,20 @@ fn fleet_stream_runs_and_is_jobs_invariant() {
     let spec = small_spec();
     for seed in [1u64, 7] {
         let stream = fleet_stream(seed, &spec);
-        let (r1, yes, no) = run(&stream.source, 1);
-        let (r4, _, _) = run(&stream.source, 4);
+        let out = run(&stream.source, 1);
+        let (r1, r4) = (out.report, run(&stream.source, 4).report);
         assert_eq!(r1, r4, "seed {seed}: report depends on --jobs");
-        assert!(yes > 0 && no > 0, "seed {seed}: goal mix degenerate");
+        assert!(
+            out.yes > 0 && out.no > 0,
+            "seed {seed}: goal mix degenerate"
+        );
+        // The zipf head and toggled-back edits repeat popular checks, so
+        // a quarter of all lookups at least must hit the verdict cache.
+        let (hits, misses) = (out.stats.hits, out.stats.misses);
+        assert!(
+            4 * hits >= hits + misses,
+            "seed {seed}: {hits} hit(s), {misses} miss(es)"
+        );
         assert!(r1.contains("txn:"), "seed {seed}");
         assert!(r1.contains("diff V"), "seed {seed}");
         assert!(r1.contains("recheck:"), "seed {seed}");
@@ -74,11 +83,12 @@ fn txn_stream_verdicts_match_sequential_edits() {
     let spec = small_spec();
     for seed in [3u64, 11] {
         let stream = txn_stream(seed, &spec);
+        assert!(stream.txns > 0, "seed {seed}: no txn blocks generated");
         let seq_src = sequentialize(&stream.source);
         assert!(!seq_src.contains("txn {"));
         for jobs in [1usize, 4] {
-            let (txn_report, tyes, tno) = run(&stream.source, jobs);
-            let (seq_report, syes, sno) = run(&seq_src, jobs);
+            let txn = run(&stream.source, jobs);
+            let seq = run(&seq_src, jobs);
             // Verdicts, witnesses, and incremental-recheck accounting are
             // byte-identical; only the edit/txn report lines differ.
             let picked = |r: &str| {
@@ -88,11 +98,15 @@ fn txn_stream_verdicts_match_sequential_edits() {
                     .collect::<Vec<_>>()
             };
             assert_eq!(
-                picked(&txn_report),
-                picked(&seq_report),
+                picked(&txn.report),
+                picked(&seq.report),
                 "seed {seed} jobs {jobs}"
             );
-            assert_eq!((tyes, tno), (syes, sno), "seed {seed} jobs {jobs}");
+            assert_eq!(
+                (txn.yes, txn.no),
+                (seq.yes, seq.no),
+                "seed {seed} jobs {jobs}"
+            );
         }
     }
 }
@@ -101,8 +115,8 @@ fn txn_stream_verdicts_match_sequential_edits() {
 fn diff_stream_matches_independent_frontier_enumeration() {
     let spec = small_spec();
     let stream = frontier_diff_stream(5, &spec);
-    let (r1, _, _) = run(&stream.source, 1);
-    let (r4, _, _) = run(&stream.source, 4);
+    assert!(stream.diffs > 0, "no diff commands generated");
+    let (r1, r4) = (run(&stream.source, 1).report, run(&stream.source, 4).report);
     assert_eq!(r1, r4, "diff report depends on --jobs");
 
     // Every generated pair diffs `{pi{Ab,Bb}, pi{Bb,Cb}}` against

@@ -1,5 +1,5 @@
 //! Machine-checked reproductions of the paper's figures and numbered
-//! examples (see EXPERIMENTS.md, items F1/F2/E1–E3).
+//! examples (Figures 1–2, Examples 3.1.1, 3.1.5 and 3.2.1–3.2.2).
 //!
 //! The source text is an OCR scan; where a figure's cell content is noisy
 //! we reconstruct it from the surrounding definitions and *verify the

@@ -20,6 +20,7 @@ fn security_audit_scenario() {
     assert_eq!(out.yes, 2, "report:\n{}", out.report);
     assert_eq!(out.no, 3);
     assert!(out.report.contains("pi{Name,Salary}(Staff): NO"));
+    assert!(out.report.contains("pi{Name}(Staff): YES"));
 }
 
 #[test]

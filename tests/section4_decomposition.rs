@@ -1,5 +1,5 @@
 //! The Section 4 opening example: decomposition of a view "in the presence
-//! of" its other relations (EXPERIMENTS.md item E4).
+//! of" its other relations.
 //!
 //! Schema over {A,B,C,D} with relations named by their schemes:
 //! AD, ABC, AB, BC, AC. Defining queries
@@ -10,8 +10,8 @@
 //! ```
 //!
 //! The paper's in-text claims (the OCR of this passage is noisy; each claim
-//! below is *verified*, with our computed decomposition recorded in
-//! EXPERIMENTS.md):
+//! below is *verified*, and our computed decomposition is pinned by
+//! `simplified_equivalent_is_computed_and_verified`):
 //!
 //! * neither S nor T is simple in {S, T} — both decompose;
 //! * T is not decomposable "traditionally" (from its own projections alone)
@@ -65,7 +65,7 @@ fn traditional_decomposability_of_the_reconstruction() {
     // (The paper's noisy passage claims its T resists traditional
     // decomposition; that property depends on cell-level details the OCR
     // destroyed, so we record the verified behaviour of the reconstruction
-    // instead — see EXPERIMENTS.md E4.)
+    // instead.)
     let cat = world();
     let (s, t) = s_and_t(&cat);
     assert!(!is_simple(&[s], 0, &cat).unwrap());
@@ -97,7 +97,7 @@ fn simplified_equivalent_is_computed_and_verified() {
     let simplified = simplify_queries(&set, &cat, &budget).unwrap();
 
     // Our machine-checked decomposition (the paper's sentence is OCR-noisy;
-    // see EXPERIMENTS.md E4): five simple queries.
+    // the count is ours): five simple queries.
     assert_eq!(simplified.len(), 5);
     let qs = QuerySet::new(simplified.clone());
     for (name, src) in [

@@ -171,16 +171,27 @@ fn daemon_rejects_malformed_requests_without_dying() {
     let socket = dir.join("robust.sock");
     let _daemon = start_daemon(&socket, &dir.join("robust.vcappile"));
 
+    // A length past the frame cap and a header line past the header cap
+    // are refused before the daemon allocates or reads anything for them.
+    let long_header = format!(
+        "PING {}\n",
+        "k".repeat(viewcap::serve::MAX_HEADER_BYTES as usize)
+    );
     for request in [
         "NONSENSE\n",
         "RUN not-a-number cold 5\n",
         "RUN 1 tepid 5\n",
         "RUN 1 warm: 5\n",
+        "RUN 1 cold 18446744073709551615\n",
+        &long_header,
     ] {
         let mut stream = UnixStream::connect(&socket).unwrap();
         stream.write_all(request.as_bytes()).unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        // The daemon stops reading at the header cap, so closing its end
+        // can reset the connection once the refusal has been read.
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response);
         assert!(
             response.starts_with("ERR "),
             "{request:?} must be refused, got {response:?}"

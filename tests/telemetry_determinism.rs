@@ -10,14 +10,15 @@
 //! process flips the enabled flag).
 
 use viewcap::scenario::{run_scenario_with, ScenarioOptions};
+use viewcap_obs::MetricsSnapshot;
 
 /// Serializes the tests in this binary on the process-global registry.
 static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn counters_for(src: &str, jobs: usize) -> String {
+fn metrics_for(src: &str, jobs: usize) -> MetricsSnapshot {
     viewcap_obs::reset();
     let outcome = run_scenario_with(src, &ScenarioOptions { jobs }).expect("scenario runs");
-    outcome.metrics.counters_text()
+    outcome.metrics
 }
 
 #[test]
@@ -35,17 +36,38 @@ fn counters_identical_across_jobs() {
     for name in scenarios {
         let src = std::fs::read_to_string(format!("scenarios/{name}.vcap"))
             .unwrap_or_else(|e| panic!("read scenarios/{name}.vcap: {e}"));
-        let sequential = counters_for(&src, 1);
-        let parallel = counters_for(&src, 4);
+        let sequential = metrics_for(&src, 1);
+        let parallel = metrics_for(&src, 4);
+        let counters = sequential.counters_text();
         assert_eq!(
-            sequential, parallel,
+            counters,
+            parallel.counters_text(),
             "{name}: counter metrics must not depend on --jobs"
         );
         // Non-vacuity: the runs actually produced telemetry.
         assert!(
-            sequential.contains("engine.cache.miss"),
-            "{name}: expected cache counters, got:\n{sequential}"
+            counters.contains("engine.cache.miss"),
+            "{name}: expected cache counters, got:\n{counters}"
         );
+        // Every check and normalization span left exactly one latency
+        // sample, and the quantiles read back from the samples are ordered.
+        for (jobs, metrics) in [(1, &sequential), (4, &parallel)] {
+            let mut samples = 0;
+            for (span, hist) in [
+                ("span.engine.check", "engine.check_ns"),
+                ("span.engine.normalize", "engine.normalize_ns"),
+            ] {
+                let spans = metrics.counters.get(span).copied().unwrap_or(0);
+                let h = metrics.histograms.get(hist).cloned().unwrap_or_default();
+                assert_eq!(h.count, spans, "{name} jobs {jobs}: {hist} vs {span}");
+                assert!(
+                    h.p50() <= h.p90() && h.p90() <= h.p99(),
+                    "{name} jobs {jobs}: {hist} quantiles out of order"
+                );
+                samples += h.count;
+            }
+            assert!(samples > 0, "{name} jobs {jobs}: no latency recorded");
+        }
     }
     viewcap_obs::set_enabled(false);
 }
@@ -61,6 +83,10 @@ fn snapshot_excludes_timing_from_counters() {
     let src = std::fs::read_to_string("scenarios/example_3_1_5.vcap").expect("scenario");
     let outcome = run_scenario_with(&src, &ScenarioOptions { jobs: 2 }).expect("scenario runs");
     viewcap_obs::set_enabled(false);
+    assert!(
+        viewcap_obs::trace_json().contains("\"ph\""),
+        "the run emitted no trace events"
+    );
     assert!(
         outcome.metrics.counters.keys().all(|k| !k.ends_with("_ns")),
         "counters must not carry timing"

@@ -1,5 +1,6 @@
 //! Machine checks of the paper's theorems on randomized workloads
-//! (EXPERIMENTS.md items T1–T16). Every test is seeded and deterministic.
+//! (tests are named by the paper's numbering). Every test is seeded and
+//! deterministic.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
