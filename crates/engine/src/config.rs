@@ -1,105 +1,69 @@
 //! One front door for building engines: [`EngineConfig`] + [`Session`].
 //!
-//! Five PRs of growth left engine construction scattered across an ad-hoc
-//! constructor zoo (`with_budget`, `with_cache`, `with_shared_cache`, a
-//! `with_space_library` builder tail) plus per-caller file plumbing: the
-//! CLI loaded `--cache-file`/`--pile`/`--space-file` by hand, `serve`
-//! assembled warm shared caches its own way, and every test picked a
-//! different spelling. A stream driver cannot be written cleanly against
-//! that surface, so it is gone.
-//!
-//! [`EngineConfig`] is the single description of an engine: search budget,
-//! cache source (bound, file, pile, or a shared handle), and candidate-space
-//! library (file or shared handle). Two ways to consume it:
+//! [`EngineConfig`] is the single description of an engine: its verdict
+//! cache (a fresh bounded one, a pile, or a shared handle) and its
+//! candidate-space library (the pile's, or a shared handle). Two ways to
+//! consume it:
 //!
 //! * [`Engine::from_config`] — build the engine and discard the
-//!   provenance. File- and pile-backed sources load eagerly (a corrupt
-//!   file is an error, never a silent cold start); the handles are
-//!   dropped, so this is the read-only spelling.
-//! * [`Session::open`] — build the engine *and keep the persistence
-//!   handles*: [`Session::persist`] saves the cache file back, appends
-//!   the run's verdicts to the pile, and harvests grown candidate spaces
-//!   into the space file, exactly as the CLI always did by hand.
+//!   provenance. A pile loads eagerly (a damaged pile is an error, never a
+//!   silent cold start); the handle is dropped, so this is the read-only
+//!   spelling.
+//! * [`Session::open`] — build the engine *and keep the pile handle*:
+//!   [`Session::persist`] appends the run's verdicts and grown candidate
+//!   spaces to the pile through [`PileStore::append_run`], the writer
+//!   `viewcap serve` uses too.
 //!
 //! ```
 //! use viewcap_engine::{Engine, EngineConfig};
-//! # use viewcap_core::SearchBudget;
 //! let engine = Engine::from_config(EngineConfig::new().cache_max(Some(1000))).unwrap();
 //! assert_eq!(engine.cache_stats().entries, 0);
 //! ```
 
 use crate::cache::VerdictCache;
 use crate::engine::Engine;
-use crate::persist::{load_cache_from_path, save_cache_to_path, PersistError};
 use crate::pilestore::{PileStore, PileStoreError};
-use crate::spacestore::{SpaceLibrary, SpaceStoreError};
+use crate::spacestore::SpaceLibrary;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use viewcap_base::Catalog;
-use viewcap_core::SearchBudget;
 
 /// Everything an [`Engine`] can be built from, in one builder.
 ///
-/// At most one *cache source* may be set: [`EngineConfig::shared_cache`]
-/// (a pre-built cache, possibly shared with other engines),
-/// [`EngineConfig::cache_file`] (load from /
-/// save to a `.vcapcache` file), or [`EngineConfig::pile`] (load from /
-/// append to a crash-safe pile). [`EngineConfig::cache_max`] composes
-/// with the file/pile sources and with no source at all (a fresh bounded
-/// cache); it conflicts with pre-built caches, whose bound is fixed at
+/// [`EngineConfig::pile`] supplies both the verdict cache and the space
+/// library, so it conflicts with [`EngineConfig::shared_cache`] and
+/// [`EngineConfig::shared_spaces`]. [`EngineConfig::cache_max`] composes
+/// with a pile and with no source at all (a fresh bounded cache); it
+/// conflicts with a pre-built cache, whose bound is fixed at
 /// construction.
 #[derive(Default)]
 pub struct EngineConfig {
-    budget: SearchBudget,
     cache_max: Option<usize>,
-    cache_file: Option<PathBuf>,
     pile: Option<PathBuf>,
-    space_file: Option<PathBuf>,
     shared_cache: Option<Arc<VerdictCache>>,
     shared_spaces: Option<Arc<Mutex<SpaceLibrary>>>,
 }
 
 impl EngineConfig {
-    /// An empty configuration: default budget, fresh unbounded cache, no
+    /// An empty configuration: fresh unbounded cache, no space library, no
     /// persistence.
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
 
-    /// The search budget every check runs under.
-    pub fn budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Bound the verdict cache to `max` entries with LRU-ish eviction
-    /// (`None` = unbounded). Applies to fresh, file-loaded, and
-    /// pile-loaded caches.
+    /// (`None` = unbounded). Applies to fresh and pile-loaded caches.
     pub fn cache_max(mut self, max: Option<usize>) -> Self {
         self.cache_max = max;
         self
     }
 
-    /// Load the verdict cache from `path` (when it exists; a missing file
-    /// starts cold) and, under [`Session::persist`], save it back.
-    pub fn cache_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_file = Some(path.into());
-        self
-    }
-
-    /// Load the verdict cache from a pile's merged verdict set and, under
-    /// [`Session::persist`], append the run's verdicts as one record.
+    /// Load the verdict cache from a pile's merged verdict set and the
+    /// space library from its space records; under [`Session::persist`],
+    /// append the run's verdicts and grown spaces back.
     pub fn pile(mut self, path: impl Into<PathBuf>) -> Self {
         self.pile = Some(path.into());
-        self
-    }
-
-    /// Load the candidate-space library from `path` (a missing file
-    /// starts empty) and, under [`Session::persist`], harvest grown
-    /// spaces and save it back.
-    pub fn space_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.space_file = Some(path.into());
         self
     }
 
@@ -123,13 +87,11 @@ impl EngineConfig {
     }
 
     fn conflict(&self) -> Option<&'static str> {
-        let sources = [
-            self.shared_cache.is_some(),
-            self.cache_file.is_some(),
-            self.pile.is_some(),
-        ];
-        if sources.iter().filter(|&&s| s).count() > 1 {
-            return Some("at most one cache source (shared_cache / cache_file / pile)");
+        if self.pile.is_some() && self.shared_cache.is_some() {
+            return Some("at most one cache source (shared_cache / pile)");
+        }
+        if self.pile.is_some() && self.shared_spaces.is_some() {
+            return Some("at most one space library source (shared_spaces / pile)");
         }
         if self.cache_max.is_some() && self.shared_cache.is_some() {
             return Some("cache_max conflicts with a pre-built cache (bound it at construction)");
@@ -142,12 +104,10 @@ impl fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EngineConfig")
             .field("cache_max", &self.cache_max)
-            .field("cache_file", &self.cache_file)
             .field("pile", &self.pile)
-            .field("space_file", &self.space_file)
             .field("shared_cache", &self.shared_cache.is_some())
             .field("shared_spaces", &self.shared_spaces.is_some())
-            .finish_non_exhaustive()
+            .finish()
     }
 }
 
@@ -156,109 +116,60 @@ impl fmt::Debug for EngineConfig {
 pub enum ConfigError {
     /// Mutually exclusive options were combined.
     Conflict(&'static str),
-    /// A configured file could not be read or written.
-    Io(PathBuf, std::io::Error),
-    /// A configured cache or space file failed to parse or save.
-    Format(PathBuf, String),
+    /// The configured pile could not be opened, read, or appended to.
+    Pile(PathBuf, PileStoreError),
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::Conflict(msg) => write!(f, "conflicting engine config: {msg}"),
-            ConfigError::Io(path, e) => write!(f, "{}: {e}", path.display()),
-            ConfigError::Format(path, msg) => write!(f, "{}: {msg}", path.display()),
+            ConfigError::Pile(path, e) => write!(f, "{}: {e}", path.display()),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-fn persist_err(path: &Path, e: PersistError) -> ConfigError {
-    ConfigError::Format(path.to_owned(), e.to_string())
+fn pile_err(path: &Path) -> impl FnOnce(PileStoreError) -> ConfigError + '_ {
+    move |e| ConfigError::Pile(path.to_owned(), e)
 }
 
-fn pile_err(path: &Path, e: PileStoreError) -> ConfigError {
-    ConfigError::Format(path.to_owned(), e.to_string())
-}
-
-fn space_err(path: &Path, e: SpaceStoreError) -> ConfigError {
-    ConfigError::Format(path.to_owned(), e.to_string())
-}
-
-/// What one [`Session::persist`] call wrote back.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PersistSummary {
-    /// Bytes appended to the pile (0 without a pile, or when the cache
-    /// snapshot was empty).
-    pub pile_bytes: usize,
-    /// Candidate-space snapshots harvested into the library.
-    pub spaces_harvested: usize,
-    /// Whether the cache file was rewritten.
-    pub cache_saved: bool,
-    /// Whether the space file was rewritten.
-    pub spaces_saved: bool,
-}
-
-/// An [`Engine`] together with the persistence handles its configuration
-/// named — the pile store, the cache file path, the space file path — so
-/// one [`Session::persist`] call writes everything back the way the
+/// An [`Engine`] together with the pile its configuration named, so one
+/// [`Session::persist`] call writes the run back the way the
 /// configuration promised.
 pub struct Session {
     engine: Engine,
-    cache_file: Option<PathBuf>,
-    space_file: Option<PathBuf>,
     pile: Option<PileStore>,
 }
 
 impl Session {
-    /// Build the configured engine, loading every configured file
-    /// eagerly: a corrupt or version-skewed cache, pile, or space file is
-    /// an error here, never a silent cold start.
+    /// Build the configured engine, loading a configured pile eagerly: a
+    /// damaged pile or a record that fails to parse is an error here,
+    /// never a silent cold start.
     pub fn open(config: EngineConfig) -> Result<Session, ConfigError> {
         if let Some(msg) = config.conflict() {
             return Err(ConfigError::Conflict(msg));
         }
         let EngineConfig {
-            budget,
             cache_max,
-            cache_file,
             pile,
-            space_file,
             shared_cache,
             shared_spaces,
         } = config;
-        let mut pile_store = match &pile {
-            Some(path) => Some(PileStore::open(path).map_err(|e| pile_err(path, e))?),
-            None => None,
+        let Some(path) = pile else {
+            let cache = shared_cache.unwrap_or_else(|| Arc::new(VerdictCache::bounded(cache_max)));
+            return Ok(Session {
+                engine: Engine::assemble(cache, shared_spaces),
+                pile: None,
+            });
         };
-        let cache: Arc<VerdictCache> = if let Some(shared) = shared_cache {
-            shared
-        } else if let Some(path) = &cache_file {
-            if path.exists() {
-                Arc::new(load_cache_from_path(path, cache_max).map_err(|e| persist_err(path, e))?)
-            } else {
-                Arc::new(VerdictCache::bounded(cache_max))
-            }
-        } else if let Some(store) = &mut pile_store {
-            let path = pile.as_deref().expect("pile store implies a pile path");
-            Arc::new(store.load(cache_max).map_err(|e| pile_err(path, e))?)
-        } else {
-            Arc::new(VerdictCache::bounded(cache_max))
-        };
-        let spaces = if let Some(shared) = shared_spaces {
-            Some(shared)
-        } else if let Some(path) = &space_file {
-            let library = SpaceLibrary::load(path).map_err(|e| space_err(path, e))?;
-            Some(Arc::new(Mutex::new(library)))
-        } else {
-            None
-        };
+        let mut store = PileStore::open(&path).map_err(pile_err(&path))?;
+        let cache = store.load(cache_max).map_err(pile_err(&path))?;
+        let spaces = store.load_spaces().map_err(pile_err(&path))?;
         Ok(Session {
-            engine: Engine::assemble(budget, cache, spaces),
-            cache_file,
-            space_file,
-            pile: pile_store,
+            engine: Engine::assemble(Arc::new(cache), Some(Arc::new(Mutex::new(spaces)))),
+            pile: Some(store),
         })
     }
 
@@ -267,51 +178,32 @@ impl Session {
         &self.engine
     }
 
-    /// Drop the persistence handles and keep the engine.
+    /// Drop the pile handle and keep the engine.
     pub fn into_engine(self) -> Engine {
         self.engine
     }
 
-    /// Write everything the configuration promised back out: save the
-    /// cache file, append the run's verdicts to the pile, and harvest
-    /// grown candidate spaces into the space file (rewritten only when
-    /// something grew or the file does not exist yet; all file writes are
-    /// atomic). `catalog` resolves natively computed witnesses to names —
-    /// pass the catalog the run finished with. A configuration that named
-    /// no files is a no-op.
-    pub fn persist(&mut self, catalog: &Catalog) -> Result<PersistSummary, ConfigError> {
-        let mut summary = PersistSummary::default();
-        if let Some(path) = &self.cache_file {
-            save_cache_to_path(self.engine.cache(), catalog, path)
-                .map_err(|e| persist_err(path, e))?;
-            summary.cache_saved = true;
-        }
-        if let Some(store) = &mut self.pile {
-            let path = store.path().to_owned();
-            summary.pile_bytes = store
-                .append_cache(self.engine.cache(), catalog)
-                .map_err(|e| pile_err(&path, e))?;
-        }
-        if let Some(path) = &self.space_file {
-            summary.spaces_harvested = self.engine.harvest_spaces();
-            if summary.spaces_harvested > 0 || !path.exists() {
-                let spaces = self
-                    .engine
-                    .shared_spaces()
-                    .expect("space_file config attaches a library");
-                let library = spaces.lock().expect("space library lock");
-                library.save(path).map_err(|e| space_err(path, e))?;
-                summary.spaces_saved = true;
-            }
-        }
-        Ok(summary)
+    /// Append the run to the configured pile: the verdict cache, then the
+    /// space library when the run grew a candidate space. `catalog`
+    /// resolves natively computed witnesses to names — pass the catalog
+    /// the run finished with. Returns the bytes appended; a configuration
+    /// without a pile appends nothing.
+    pub fn persist(&mut self, catalog: &Catalog) -> Result<usize, ConfigError> {
+        let Some(store) = &mut self.pile else {
+            return Ok(0);
+        };
+        let spaces_grew = self.engine.harvest_spaces() > 0;
+        let path = store.path().to_owned();
+        store
+            .append_run(&self.engine, catalog, spaces_grew)
+            .map_err(pile_err(&path))
     }
 }
 
 impl Engine {
-    /// Build an engine from a configuration, discarding the persistence
-    /// handles — the read-only spelling of [`Session::open`]. For a
-    /// configuration with no file sources this cannot fail.
+    /// Build an engine from a configuration, discarding the pile handle —
+    /// the read-only spelling of [`Session::open`]. For a configuration
+    /// without a pile this cannot fail.
     pub fn from_config(config: EngineConfig) -> Result<Engine, ConfigError> {
         Ok(Session::open(config)?.into_engine())
     }
@@ -358,7 +250,14 @@ mod tests {
     #[test]
     fn conflicting_cache_sources_are_rejected() {
         let config = EngineConfig::new()
-            .cache_file("/tmp/a.vcapcache")
+            .shared_cache(Arc::new(VerdictCache::new()))
+            .pile("/tmp/a.vcappile");
+        assert!(matches!(
+            Engine::from_config(config),
+            Err(ConfigError::Conflict(_))
+        ));
+        let config = EngineConfig::new()
+            .shared_spaces(Arc::new(Mutex::new(SpaceLibrary::new())))
             .pile("/tmp/a.vcappile");
         assert!(matches!(
             Engine::from_config(config),
@@ -382,15 +281,17 @@ mod tests {
     #[test]
     fn session_round_trips_a_cache_file() {
         let (cat, view) = setup();
-        let path = tmp("roundtrip.vcapcache");
+        let engine = Engine::new();
+        decide(&engine, &cat, &view, "pi{A}(R)");
+        let file = crate::persist::save_cache(engine.cache(), &cat);
 
-        let mut session = Session::open(EngineConfig::new().cache_file(&path)).unwrap();
-        decide(session.engine(), &cat, &view, "pi{A}(R)");
-        let summary = session.persist(&cat).unwrap();
-        assert!(summary.cache_saved);
-
-        // A second session warms from the saved file.
-        let warm = Session::open(EngineConfig::new().cache_file(&path)).unwrap();
+        // A legacy cache file imported into a pile warms a session.
+        let path = tmp("imported.vcappile");
+        PileStore::open(&path)
+            .unwrap()
+            .append_cache_bytes(&file)
+            .unwrap();
+        let warm = Session::open(EngineConfig::new().pile(&path)).unwrap();
         decide(warm.engine(), &cat, &view, "pi{A}(R)");
         assert_eq!(warm.engine().cache_stats().hits, 1);
     }
@@ -402,38 +303,64 @@ mod tests {
 
         let mut session = Session::open(EngineConfig::new().pile(&path)).unwrap();
         decide(session.engine(), &cat, &view, "pi{A}(R)");
-        let summary = session.persist(&cat).unwrap();
-        assert!(summary.pile_bytes > 0);
+        assert!(session.persist(&cat).unwrap() > 0);
 
+        // A second session warms from the pile: the verdict hits.
         let warm = Session::open(EngineConfig::new().pile(&path)).unwrap();
         decide(warm.engine(), &cat, &view, "pi{A}(R)");
         assert_eq!(warm.engine().cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn session_harvests_spaces_into_the_space_file() {
-        let (cat, view) = setup();
-        let path = tmp("harvest.vcapspaces");
-
-        let mut session = Session::open(EngineConfig::new().space_file(&path)).unwrap();
-        decide(session.engine(), &cat, &view, "pi{A}(R)");
-        let summary = session.persist(&cat).unwrap();
-        assert!(summary.spaces_saved);
-        assert!(path.exists());
-
-        // The warm session hydrates instead of rebuilding.
-        let warm = Session::open(EngineConfig::new().space_file(&path)).unwrap();
-        decide(warm.engine(), &cat, &view, "pi{A}(R)");
         assert_eq!(warm.engine().enum_stats().levels_rebuilt, 0);
     }
 
     #[test]
+    fn session_harvests_spaces_into_the_pile() {
+        let (cat, view) = setup();
+        let path = tmp("harvest.vcappile");
+
+        let mut session = Session::open(EngineConfig::new().pile(&path)).unwrap();
+        decide(session.engine(), &cat, &view, "pi{A}(R)");
+        session.persist(&cat).unwrap();
+        let mut store = PileStore::open(&path).unwrap();
+        assert_eq!(store.record_count().unwrap(), 1);
+        assert_eq!(store.space_record_count().unwrap(), 1);
+
+        // A bounded cache drops the verdict, so the warm session misses
+        // and must hydrate the persisted space instead of rebuilding it.
+        let config = EngineConfig::new().pile(&path).cache_max(Some(1));
+        let warm = Session::open(config).unwrap();
+        decide(warm.engine(), &cat, &view, "pi{B}(R)");
+        assert_eq!(warm.engine().cache_stats().misses, 1);
+        let stats = warm.engine().enum_stats();
+        assert!(stats.levels_hydrated > 0, "{stats:?}");
+        assert_eq!(stats.levels_rebuilt, 0);
+    }
+
+    #[test]
     fn corrupt_cache_files_error_instead_of_cold_starting() {
-        let path = tmp("corrupt.vcapcache");
-        std::fs::write(&path, b"not a cache file").unwrap();
+        let (cat, view) = setup();
+        // A pile whose framing is damaged.
+        let path = tmp("damaged.vcappile");
+        let mut session = Session::open(EngineConfig::new().pile(&path)).unwrap();
+        decide(session.engine(), &cat, &view, "pi{A}(R)");
+        session.persist(&cat).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Session::open(EngineConfig::new().cache_file(&path)),
-            Err(ConfigError::Format(..))
+            Session::open(EngineConfig::new().pile(&path)),
+            Err(ConfigError::Pile(..))
+        ));
+
+        // A well-framed pile whose cache record is not a cache file.
+        let path = tmp("corrupt-record.vcappile");
+        viewcap_pile::Pile::open(&path)
+            .unwrap()
+            .append(crate::CACHE_RECORD_KIND, b"not a cache file")
+            .unwrap();
+        assert!(matches!(
+            Session::open(EngineConfig::new().pile(&path)),
+            Err(ConfigError::Pile(..))
         ));
     }
 

@@ -394,22 +394,22 @@ impl Default for Engine {
 impl Engine {
     /// Engine with the default search budget and a fresh unbounded cache —
     /// shorthand for [`crate::EngineConfig::default`]. Every other shape
-    /// (bounded / file-loaded / shared caches, space libraries, piles)
-    /// goes through [`Engine::from_config`] or [`crate::Session::open`].
+    /// (bounded / shared caches, space libraries, piles) goes through
+    /// [`Engine::from_config`] or [`crate::Session::open`].
     pub fn new() -> Self {
-        Engine::assemble(SearchBudget::default(), Arc::new(VerdictCache::new()), None)
+        Engine::assemble(Arc::new(VerdictCache::new()), None)
     }
 
-    /// Assemble an engine from resolved parts. The only constructor;
-    /// callers outside the crate go through [`crate::EngineConfig`].
+    /// Assemble an engine from resolved parts, under the default search
+    /// budget. The only constructor; callers outside the crate go through
+    /// [`crate::EngineConfig`].
     pub(crate) fn assemble(
-        budget: SearchBudget,
         cache: Arc<VerdictCache>,
         spaces: Option<Arc<Mutex<SpaceLibrary>>>,
     ) -> Self {
         Engine {
             cache,
-            budget,
+            budget: SearchBudget::default(),
             contexts: Pool::new(PoolObs {
                 build: &CTX_BUILD,
                 reuse: &CTX_REUSE,

@@ -24,11 +24,12 @@
 //!   a catalog edit (one view's defining query added / removed /
 //!   replaced), invalidates exactly the affected decisions via fingerprint
 //!   dependency tracking and re-poses only those;
-//! * [`persist`] — a versioned, checksummed, name-addressed on-disk format
-//!   for the verdict cache, witnesses included, so warm caches survive
-//!   across batches, processes, and catalog declaration orders — plus
-//!   fleet operations: merging N workers' cache files into one and
-//!   compacting merge lineages.
+//! * [`persist`] — a versioned, checksummed, name-addressed encoding of
+//!   the verdict cache, witnesses included, so warm caches survive across
+//!   batches, processes, and catalog declaration orders — plus merging
+//!   and compacting encoded caches;
+//! * [`pilestore`] — the one durable store: a crash-safe, append-only pile
+//!   carrying encoded caches and candidate-space libraries as records.
 //!
 //! ```
 //! use viewcap_base::Catalog;
@@ -85,7 +86,7 @@ pub mod verdict;
 pub mod workload;
 
 pub use cache::{CacheKey, CacheStats, VerdictCache};
-pub use config::{ConfigError, EngineConfig, PersistSummary, Session};
+pub use config::{ConfigError, EngineConfig, Session};
 pub use delta::{DeltaOutcome, DeltaWorkload};
 pub use engine::{effective_jobs, BatchOutcome, Decision, Engine, EnumStats};
 pub use fingerprint::{
@@ -93,9 +94,8 @@ pub use fingerprint::{
     Fingerprint,
 };
 pub use persist::{
-    compact_cache_bytes, load_cache, load_cache_from_path, merge_cache_bytes, save_cache,
-    save_cache_to_path, validate_cache_bytes, write_bytes_atomic, CompactReport, ImportTables,
-    MergeReport, PersistError,
+    compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, validate_cache_bytes,
+    CompactReport, ImportTables, MergeReport, PersistError,
 };
 pub use pilestore::{PileStore, PileStoreError, CACHE_RECORD_KIND, SPACE_RECORD_KIND};
 pub use spacestore::{SpaceLibrary, SpaceStoreError, SPACE_LIB_MAGIC, SPACE_LIB_VERSION};

@@ -46,20 +46,20 @@
 //!
 //! ## Fleet operations
 //!
-//! [`merge_cache_bytes`] folds N workers' cache files into one (union of
+//! [`merge_cache_bytes`] folds N encoded caches into one (union of
 //! verdict sets, last input wins on shared fingerprints, name tables
-//! re-interned); [`compact_cache_bytes`] rewrites one file in canonical
-//! form, garbage-collecting unreferenced table names and optionally
-//! truncating to the newest `max` entries. Both parse every input fully
-//! before producing a single output byte, so a corrupt input can never
-//! poison an output file.
+//! re-interned) — it is how a pile's cache records load; and
+//! [`compact_cache_bytes`] rewrites one in canonical form,
+//! garbage-collecting unreferenced table names and optionally truncating
+//! to the newest `max` entries — the cache half of `pile compact`. Both
+//! parse every input fully before producing a single output byte, so a
+//! corrupt input can never poison an output.
 
 use crate::cache::{CacheKey, Entry, VerdictCache};
 use crate::fingerprint::Fingerprint;
 use crate::verdict::{CheckKind, Verdict};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 use viewcap_base::{fnv1a64, AttrId, Catalog, RelId, Scheme, Symbol};
 use viewcap_core::capacity::ClosureProof;
@@ -103,8 +103,6 @@ pub struct ImportTables {
 /// Why a cache file was rejected.
 #[derive(Debug)]
 pub enum PersistError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
     BadMagic,
     /// The file's version is not [`FORMAT_VERSION`].
@@ -123,7 +121,6 @@ pub enum PersistError {
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "cache file I/O error: {e}"),
             PersistError::BadMagic => write!(f, "not a viewcap cache file (bad magic)"),
             PersistError::VersionMismatch { found, expected } => {
                 write!(
@@ -150,12 +147,6 @@ impl fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
 
 // ---------------------------------------------------------------- writing
 
@@ -441,38 +432,6 @@ pub fn save_cache(cache: &VerdictCache, catalog: &Catalog) -> Vec<u8> {
     span.arg("entries", count);
     PERSIST_OUT.add(bytes.len() as u64);
     bytes
-}
-
-/// Write bytes to `path` atomically via a sibling temporary (the
-/// temporary *appends* a pid-qualified suffix to the full file name, so
-/// distinct files in one directory — or concurrent processes — never
-/// share a temporary). A crash or error never leaves a half-written file
-/// behind, and the previous contents of `path` survive any failure.
-pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(format!(".tmp-{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp_name);
-    // Clean the temporary up on *either* failure: a full disk (write) must
-    // not leave a stray partial temporary behind any more than a rename
-    // failure may.
-    if let Err(e) = std::fs::write(&tmp, bytes) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
-}
-
-/// Serialize a cache into a file (atomically; see [`write_bytes_atomic`]).
-pub fn save_cache_to_path(
-    cache: &VerdictCache,
-    catalog: &Catalog,
-    path: &Path,
-) -> Result<(), PersistError> {
-    write_bytes_atomic(path, &save_cache(cache, catalog))
 }
 
 // ---------------------------------------------------------------- reading
@@ -791,16 +750,6 @@ pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCac
     Ok(cache)
 }
 
-/// Load a cache file. A missing file is an [`PersistError::Io`] error;
-/// callers that want "missing = start cold" should check existence first.
-pub fn load_cache_from_path(
-    path: &Path,
-    max_entries: Option<usize>,
-) -> Result<VerdictCache, PersistError> {
-    let bytes = std::fs::read(path)?;
-    load_cache(&bytes, max_entries)
-}
-
 /// Fully parse and integrity-check `bytes` as a version-2 cache file
 /// without building a cache; returns the entry count. The admission check
 /// of [`crate::pilestore`]'s import bridge — a pile may only ever contain
@@ -1106,81 +1055,4 @@ pub fn compact_cache_bytes(
         bytes_out: out.len(),
     };
     Ok((out, report))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "viewcap-persist-atomic-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// The `.tmp-*` siblings of `path` (the atomic write's temporaries).
-    fn stray_temporaries(path: &Path) -> Vec<std::path::PathBuf> {
-        let dir = path.parent().unwrap();
-        std::fs::read_dir(dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path())
-                    .filter(|p| p.to_string_lossy().contains(".tmp-"))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    #[test]
-    fn write_bytes_atomic_cleans_up_when_the_rename_fails() {
-        let dir = scratch_dir("rename-fail");
-        let target = dir.join("cache.vcapcache");
-        std::fs::write(&target, b"previous contents").unwrap();
-        // Renaming a file over a non-empty directory fails on every
-        // platform we build on — a deterministic rename failure.
-        let blocked = dir.join("blocked");
-        std::fs::create_dir(&blocked).unwrap();
-        std::fs::write(blocked.join("nonempty"), b"x").unwrap();
-        let err = write_bytes_atomic(&blocked, b"new bytes").unwrap_err();
-        assert!(matches!(err, PersistError::Io(_)), "{err}");
-        assert!(
-            stray_temporaries(&target).is_empty(),
-            "rename failure must remove the temporary"
-        );
-        assert_eq!(
-            std::fs::read(&target).unwrap(),
-            b"previous contents",
-            "unrelated files survive untouched"
-        );
-    }
-
-    #[test]
-    fn write_bytes_atomic_cleans_up_when_the_write_fails() {
-        let dir = scratch_dir("write-fail");
-        // A target inside a missing directory: creating the temporary
-        // itself fails, and no `.tmp-*` file may be left anywhere.
-        let target = dir.join("missing-subdir").join("cache.vcapcache");
-        let err = write_bytes_atomic(&target, b"bytes").unwrap_err();
-        assert!(matches!(err, PersistError::Io(_)), "{err}");
-        assert!(
-            stray_temporaries(&dir.join("anything")).is_empty(),
-            "write failure must not leave temporaries in the parent"
-        );
-        assert!(!dir.join("missing-subdir").exists());
-    }
-
-    #[test]
-    fn write_bytes_atomic_overwrites_and_leaves_no_temporaries_on_success() {
-        let dir = scratch_dir("success");
-        let target = dir.join("cache.vcapcache");
-        std::fs::write(&target, b"old").unwrap();
-        write_bytes_atomic(&target, b"new").unwrap();
-        assert_eq!(std::fs::read(&target).unwrap(), b"new");
-        assert!(stray_temporaries(&target).is_empty());
-    }
 }

@@ -1,19 +1,25 @@
-//! The [`Pile`]-backed mode of the verdict cache: a crash-safe, shared,
-//! append-only store any number of workers can write concurrently.
+//! The pile: viewcap's one durable store. A crash-safe, shared,
+//! append-only [`Pile`] any number of workers — CLI runs with `--pile`
+//! ([`crate::Session`]) and `viewcap serve` alike — write concurrently.
 //!
-//! Every cache record in the pile carries a *complete* version-2 cache
-//! file ([`crate::persist`]) as its payload. That choice keeps the bridge
-//! honest in both directions:
+//! Two record kinds ride it, each payload a complete file in its own
+//! format, so the pile adds framing and nothing else:
 //!
-//! * **import** ([`PileStore::append_cache_bytes`]) is "validate, then
-//!   append the file bytes" — an existing `.vcapcache` migrates without
-//!   re-encoding, so nothing can be lost in translation;
-//! * **export / load** ([`PileStore::merged_bytes`], [`PileStore::load`])
-//!   is exactly [`merge_cache_bytes`] over the records in append order —
-//!   so reloading a pile N workers appended disjoint verdict sets to is
-//!   *byte-identical* to merging those workers' cache files with the CLI.
-//!   "Merge" stops being an operation: point two engines at the same pile
-//!   and the union is just what the pile contains.
+//! * [`CACHE_RECORD_KIND`] — a version-2 verdict cache ([`crate::persist`]).
+//!   Loading ([`PileStore::load`], [`PileStore::merged_bytes`]) is exactly
+//!   [`merge_cache_bytes`] over the records in append order, so "merge"
+//!   stops being an operation: point two engines at the same pile and the
+//!   union is just what the pile contains.
+//! * [`SPACE_RECORD_KIND`] — a [`SpaceLibrary`] of candidate-space
+//!   snapshots ([`PileStore::load_spaces`]: per space key, the snapshot
+//!   with the most levels wins).
+//!
+//! [`PileStore::append_run`] is the one writer both the CLI and the daemon
+//! call after a run. The import bridge ([`PileStore::append_cache_bytes`],
+//! [`PileStore::append_space_bytes`]) folds legacy `VCAPCACH` / `VCAPSLIB`
+//! files in without re-encoding, validating each before it is appended;
+//! [`PileStore::compact_to`] writes a pile's merged state to a new
+//! two-record pile.
 //!
 //! Concurrency: appends go through the pile's single-write `O_APPEND`
 //! discipline, so processes and threads interleave whole records, never
@@ -23,11 +29,14 @@
 //! reports what was dropped.
 
 use crate::cache::VerdictCache;
+use crate::engine::Engine;
 use crate::persist::{
-    merge_cache_bytes, save_cache, validate_cache_bytes, MergeReport, PersistError,
+    compact_cache_bytes, merge_cache_bytes, save_cache, validate_cache_bytes, CompactReport,
+    MergeReport, PersistError,
 };
 use crate::spacestore::{SpaceLibrary, SpaceStoreError};
 use std::fmt;
+use std::fs::OpenOptions;
 use std::path::Path;
 use viewcap_base::Catalog;
 use viewcap_pile::{Pile, PileError, RecoveryReport};
@@ -127,6 +136,23 @@ impl PileStore {
         Ok(self.pile.append(CACHE_RECORD_KIND, &bytes)?)
     }
 
+    /// Append what one run leaves behind: `engine`'s cache snapshot, then —
+    /// when `spaces_grew` — its whole space library. The one writer behind
+    /// [`crate::Session::persist`] and `viewcap serve`. Returns the bytes
+    /// appended.
+    pub fn append_run(
+        &mut self,
+        engine: &Engine,
+        catalog: &Catalog,
+        spaces_grew: bool,
+    ) -> Result<usize, PileStoreError> {
+        let mut bytes = self.append_cache(engine.cache(), catalog)?;
+        if let Some(spaces) = engine.shared_spaces().filter(|_| spaces_grew) {
+            bytes += self.append_spaces(&spaces.lock().expect("space library lock"))?;
+        }
+        Ok(bytes)
+    }
+
     /// Import bridge: append an existing cache file's bytes as one record,
     /// after fully validating them — a corrupt or version-skewed file is
     /// rejected and the pile is untouched. Returns the file's entry count.
@@ -148,19 +174,17 @@ impl PileStore {
             .collect())
     }
 
-    /// Export bridge: merge every cache record into one canonical v2 cache
-    /// file — byte-identical to `viewcap-cli cache merge` over the same
-    /// snapshots in the same order. An empty pile merges to an empty cache
-    /// file.
+    /// Merge every cache record into one canonical v2 cache file —
+    /// byte-identical to [`merge_cache_bytes`] over the same snapshots in
+    /// the same order. An empty pile merges to an empty cache file.
     pub fn merged_bytes(&mut self) -> Result<(Vec<u8>, MergeReport), PileStoreError> {
         Ok(merge_cache_bytes(&self.cache_payloads()?)?)
     }
 
     /// Load the pile's union verdict set as a cache bounded by
     /// `max_entries` (`None` = unbounded), ready for
-    /// [`crate::EngineConfig::cache`]. Entries load `foreign` and translate
-    /// into the live catalog on first hit, exactly as file-loaded caches
-    /// do.
+    /// [`crate::EngineConfig::shared_cache`]. Entries load `foreign` and
+    /// translate into the live catalog on first hit.
     pub fn load(&mut self, max_entries: Option<usize>) -> Result<VerdictCache, PileStoreError> {
         let payloads = self.cache_payloads()?;
         if payloads.is_empty() {
@@ -216,6 +240,33 @@ impl PileStore {
             .into_iter()
             .filter(|r| r.kind == SPACE_RECORD_KIND)
             .count())
+    }
+
+    /// Write this pile's merged state to a new pile at `out`: one cache
+    /// record (the merged cache, compacted to its newest `max_entries`)
+    /// and one space record (the merged library); an empty half appends
+    /// nothing. This pile is only read, so appenders lose nothing, and an
+    /// existing `out` is refused. Returns the cache's compaction report
+    /// and the library's space count.
+    pub fn compact_to(
+        &mut self,
+        out: &Path,
+        max_entries: Option<usize>,
+    ) -> Result<(CompactReport, usize), PileStoreError> {
+        let (merged, _) = self.merged_bytes()?;
+        let (cache, report) = compact_cache_bytes(&merged, max_entries)?;
+        let spaces = self.load_spaces()?;
+        OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(out)
+            .map_err(PileError::Io)?;
+        let mut target = PileStore::open(out)?;
+        if report.entries_out > 0 {
+            target.pile.append(CACHE_RECORD_KIND, &cache)?;
+        }
+        target.append_spaces(&spaces)?;
+        Ok((report, spaces.len()))
     }
 }
 
@@ -317,7 +368,7 @@ mod tests {
         }
         let (from_pile, pile_report) = store.merged_bytes().unwrap();
         let (from_merge, merge_report) = merge_cache_bytes(&snapshots).unwrap();
-        assert_eq!(from_pile, from_merge, "pile export must equal CLI merge");
+        assert_eq!(from_pile, from_merge, "pile reload must equal a merge");
         assert_eq!(pile_report, merge_report);
     }
 
@@ -342,7 +393,7 @@ mod tests {
         ));
         assert_eq!(store.record_count().unwrap(), 1);
 
-        // Round trip: export equals the single imported file's merge.
+        // Round trip: the pile merges to the single imported file's merge.
         let (exported, _) = store.merged_bytes().unwrap();
         let (expected, _) = merge_cache_bytes(std::slice::from_ref(&file)).unwrap();
         assert_eq!(exported, expected);

@@ -9,21 +9,18 @@
 //! so fresh processes replay persisted enumeration levels instead of
 //! rebuilding them; contexts that extend past the persisted bound are
 //! harvested back ([`crate::Engine::harvest_spaces`]) and the grown library
-//! re-persisted atomically.
+//! is appended to the pile as one space record ([`crate::PileStore`]).
 //!
-//! The container format mirrors the verdict-cache file: magic, version,
+//! The container format mirrors the verdict-cache payload: magic, version,
 //! FNV-1a checksum over the payload, then a digest-ordered entry table.
 //! Entries are opaque here — each snapshot carries its own magic, version,
 //! and checksum, and is validated against the loading catalog at hydration
 //! time (`load_space`), so a library can ferry snapshots between catalogs
 //! that declare the same relations in any order.
 
-use crate::persist::{write_bytes_atomic, PersistError};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
 use viewcap_base::fnv1a64;
-use viewcap_obs as obs;
 
 /// First bytes of a space-library file.
 pub const SPACE_LIB_MAGIC: &[u8; 8] = b"VCAPSLIB";
@@ -31,19 +28,10 @@ pub const SPACE_LIB_MAGIC: &[u8; 8] = b"VCAPSLIB";
 /// Version written by this build; anything else is rejected.
 pub const SPACE_LIB_VERSION: u32 = 1;
 
-/// Bytes written through [`SpaceLibrary::save`].
-static SPACE_PERSIST_BYTES: obs::Counter = obs::Counter::new("space.persist_bytes");
-/// Library files persisted.
-static SPACE_PERSISTED: obs::Counter = obs::Counter::new("space.persisted");
-/// Time spent serializing + atomically writing a library.
-static SPACE_SAVE_HIST: obs::Hist = obs::Hist::new("space.save_ns");
-
-/// Why a space-library file was rejected.
+/// Why a space-library payload was rejected.
 #[derive(Debug)]
 pub enum SpaceStoreError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`SPACE_LIB_MAGIC`].
+    /// The payload does not start with [`SPACE_LIB_MAGIC`].
     BadMagic,
     /// The file's version is not [`SPACE_LIB_VERSION`].
     VersionMismatch {
@@ -61,7 +49,6 @@ pub enum SpaceStoreError {
 impl fmt::Display for SpaceStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpaceStoreError::Io(e) => write!(f, "space library I/O error: {e}"),
             SpaceStoreError::BadMagic => write!(f, "not a viewcap space library (bad magic)"),
             SpaceStoreError::VersionMismatch { found, expected } => write!(
                 f,
@@ -76,22 +63,6 @@ impl fmt::Display for SpaceStoreError {
 }
 
 impl std::error::Error for SpaceStoreError {}
-
-impl From<std::io::Error> for SpaceStoreError {
-    fn from(e: std::io::Error) -> Self {
-        SpaceStoreError::Io(e)
-    }
-}
-
-impl From<PersistError> for SpaceStoreError {
-    fn from(e: PersistError) -> Self {
-        match e {
-            PersistError::Io(io) => SpaceStoreError::Io(io),
-            // `write_bytes_atomic` only ever surfaces I/O failures.
-            other => SpaceStoreError::Io(std::io::Error::other(other.to_string())),
-        }
-    }
-}
 
 /// A digest-keyed collection of candidate-space snapshots.
 ///
@@ -147,11 +118,6 @@ impl SpaceLibrary {
             .into_iter()
             .filter(|(k, v)| self.insert(*k, v.clone()))
             .count()
-    }
-
-    /// Iterate `(space key, snapshot bytes)` in digest order.
-    pub fn iter(&self) -> impl Iterator<Item = (u128, &[u8])> {
-        self.entries.iter().map(|(k, v)| (*k, v.as_slice()))
     }
 
     /// Serialize to the container format.
@@ -219,30 +185,6 @@ impl SpaceLibrary {
             return Err(SpaceStoreError::Corrupt("trailing bytes after entries"));
         }
         Ok(SpaceLibrary { entries })
-    }
-
-    /// Read a library from disk. A missing file is an empty library — the
-    /// warm-start path must degrade to a cold start, never fail.
-    pub fn load(path: &Path) -> Result<SpaceLibrary, SpaceStoreError> {
-        match std::fs::read(path) {
-            Ok(bytes) => SpaceLibrary::from_bytes(&bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(SpaceLibrary::new()),
-            Err(e) => Err(SpaceStoreError::Io(e)),
-        }
-    }
-
-    /// Atomically persist the library (tmp + rename, like the verdict
-    /// cache).
-    pub fn save(&self, path: &Path) -> Result<(), SpaceStoreError> {
-        let t0 = obs::now_ns();
-        let bytes = self.to_bytes();
-        write_bytes_atomic(path, &bytes)?;
-        SPACE_PERSISTED.add(1);
-        SPACE_PERSIST_BYTES.add(bytes.len() as u64);
-        if obs::enabled() {
-            SPACE_SAVE_HIST.record(obs::now_ns().saturating_sub(t0));
-        }
-        Ok(())
     }
 }
 
@@ -317,30 +259,5 @@ mod tests {
         for cut in 0..good.len() {
             assert!(SpaceLibrary::from_bytes(&good[..cut]).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn missing_file_loads_empty() {
-        let path = std::env::temp_dir().join(format!(
-            "viewcap-spacelib-missing-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let lib = SpaceLibrary::load(&path).unwrap();
-        assert!(lib.is_empty());
-    }
-
-    #[test]
-    fn save_and_load_round_trip_on_disk() {
-        let path = std::env::temp_dir().join(format!(
-            "viewcap-spacelib-roundtrip-{}.bin",
-            std::process::id()
-        ));
-        let mut lib = SpaceLibrary::new();
-        lib.insert(11, vec![1, 2, 3, 4]);
-        lib.save(&path).unwrap();
-        let back = SpaceLibrary::load(&path).unwrap();
-        assert_eq!(back.get(11), Some(&[1, 2, 3, 4][..]));
-        let _ = std::fs::remove_file(&path);
     }
 }

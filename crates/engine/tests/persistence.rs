@@ -12,9 +12,8 @@ use std::sync::Arc;
 use viewcap_base::Catalog;
 use viewcap_core::{Query, View};
 use viewcap_engine::{
-    compact_cache_bytes, load_cache, load_cache_from_path, merge_cache_bytes, save_cache,
-    save_cache_to_path, write_bytes_atomic, BatchOutcome, Check, Engine, EngineConfig,
-    PersistError, VerdictCache, Workload,
+    compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, BatchOutcome, Check, Engine,
+    EngineConfig, PersistError, PileStore, VerdictCache, Workload,
 };
 use viewcap_gen::{random_query, random_view, random_world, WorldSpec};
 
@@ -114,25 +113,6 @@ fn saved_files_are_deterministic() {
     engine.run_batch(&load, &cat, 4);
     let b = save_cache(engine.cache(), &cat);
     assert_eq!(a, b);
-}
-
-#[test]
-fn file_round_trip_via_path() {
-    let (cat, load) = random_workload(1);
-    let engine = Engine::new();
-    engine.run_batch(&load, &cat, 1);
-
-    let path = std::env::temp_dir().join(format!("viewcap-cache-{}.bin", std::process::id()));
-    save_cache_to_path(engine.cache(), &cat, &path).expect("save");
-    let loaded = load_cache_from_path(&path, None).expect("load");
-    assert_eq!(loaded.stats().entries, engine.cache().stats().entries);
-    let _ = std::fs::remove_file(&path);
-
-    // A missing file is an I/O error, not a panic.
-    assert!(matches!(
-        load_cache_from_path(&path, None),
-        Err(PersistError::Io(_))
-    ));
 }
 
 #[test]
@@ -300,8 +280,7 @@ fn merged_caches_warm_start_both_workloads() {
 }
 
 /// Corrupt or truncated merge inputs are rejected before any output
-/// exists, and the atomic writer never clobbers the previous file on the
-/// way to a failure.
+/// exists, and a pile import of one leaves the pile byte-identical.
 #[test]
 fn corrupt_merge_inputs_cannot_poison_an_output_file() {
     let (cat, load) = random_workload(6);
@@ -319,14 +298,16 @@ fn corrupt_merge_inputs_cannot_poison_an_output_file() {
     let truncated = good[..good.len() - 3].to_vec();
     assert!(merge_cache_bytes(&[truncated]).is_err());
 
-    // The CLI-level contract: an output file holding a previous good
-    // merge survives a failed follow-up byte-for-byte, because nothing is
-    // ever written unless every input parsed. Simulate the sequence.
-    let path = std::env::temp_dir().join(format!("viewcap-merge-{}.vcapcache", std::process::id()));
-    let (merged, _) = merge_cache_bytes(std::slice::from_ref(&good)).expect("merge");
-    write_bytes_atomic(&path, &merged).expect("first write");
-    // (failed merge here — no write happens by construction)
-    assert_eq!(std::fs::read(&path).expect("file intact"), merged);
+    // The CLI-level contract: a pile holding a good record survives a
+    // failed import byte-for-byte, because nothing is appended unless the
+    // input parsed.
+    let path = std::env::temp_dir().join(format!("viewcap-merge-{}.vcappile", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut store = PileStore::open(&path).expect("open pile");
+    store.append_cache_bytes(&good).expect("first import");
+    let before = std::fs::read(&path).expect("pile readable");
+    assert!(store.append_cache_bytes(&good[..good.len() - 3]).is_err());
+    assert_eq!(std::fs::read(&path).expect("pile intact"), before);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -10,8 +10,8 @@
 //! * no append is lost or interleaved: the final pile holds exactly the
 //!   records the workers wrote;
 //! * the final reload is **byte-identical** to [`merge_cache_bytes`] over
-//!   the same snapshots — the pile is just a crash-safe spelling of the
-//!   fleet's `cache merge`.
+//!   the same snapshots — the pile is just a crash-safe spelling of
+//!   merging the workers' caches.
 //!
 //! (The two-process variant of this test drives the real CLI binary; it
 //! lives in the workspace root's `tests/pile_cli.rs`, next to the binary.)

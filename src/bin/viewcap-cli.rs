@@ -1,15 +1,14 @@
 //! `viewcap-cli` — run scenario files against the decision procedures,
-//! and manage verdict-cache files for fleets of workers.
+//! and manage the verdict pile a fleet of workers shares.
 //!
 //! ```console
 //! $ viewcap-cli scenarios/example_3_1_5.vcap
 //! $ viewcap-cli --demo                       # built-in demonstration
 //! $ viewcap-cli --jobs 8 scenarios/batch_workload.vcap
 //! $ viewcap-cli --stats scenarios/batch_workload.vcap
-//! $ viewcap-cli --cache-file /tmp/verdicts.vcapcache --cache-max 10000 \
+//! $ viewcap-cli --pile /tmp/fleet.vcappile --cache-max 10000 \
 //!       scenarios/incremental_edit.vcap
-//! $ viewcap-cli cache merge w1.vcapcache w2.vcapcache --out warm.vcapcache
-//! $ viewcap-cli cache compact warm.vcapcache --max 50000
+//! $ viewcap-cli pile compact /tmp/fleet.vcappile --out /tmp/warm.vcappile --max 50000
 //! ```
 //!
 //! Scenario syntax is documented in [`viewcap::scenario`]; `scenarios/` in
@@ -27,47 +26,26 @@
 //! writes a JSON metrics snapshot — counters plus p50/p90/p99 latency
 //! histograms. Both write files only; stdout stays byte-identical.
 //!
-//! `--cache-file PATH` persists the verdict cache across runs: an existing
-//! file is loaded before the scenario (a corrupted or version-mismatched
-//! file is rejected with an error, never silently discarded), and the
-//! cache — witnesses included — is saved back on success. Fingerprints
-//! are catalog-content-addressed: a cache file is valid for every scenario
-//! declaring the same relations (same names and schemes), in *any*
-//! declaration order. `--cache-max N` bounds the cache to `N` verdicts
-//! with LRU-ish eviction (`0` = unbounded).
+//! `--pile PATH` persists across runs through the crash-safe verdict pile:
+//! the scenario's verdict cache loads from the pile's merged verdict set
+//! and its candidate-space library from the pile's space records (a
+//! damaged pile is rejected with an error, never silently discarded; a
+//! corrupted snapshot inside a valid record is skipped and rebuilt).
+//! Afterwards the run's verdicts, and its space library when a space grew,
+//! append as atomic records — many processes can share one pile
+//! concurrently with no merge step and no lost-update window. Fingerprints
+//! and space keys are catalog-content-addressed: a pile serves every
+//! scenario declaring the same relations (same names and schemes), in
+//! *any* declaration order. `--cache-max N` bounds the verdict cache to
+//! `N` verdicts with LRU-ish eviction (`0` = unbounded).
 //!
-//! The `cache` subcommands fold fleets of workers' caches together:
-//! `cache merge <in...> --out FILE` unions N files (last input wins on a
-//! shared fingerprint; the verdicts are semantically identical either
-//! way), and `cache compact FILE [--out FILE] [--max N]` rewrites one
-//! file in canonical form, garbage-collecting unreferenced name-table
-//! entries and optionally truncating to the newest `N` entries. Both
-//! validate every input fully before writing, and write atomically, so a
-//! corrupt input can never poison the output file.
-//!
-//! `--pile PATH` replaces `--cache-file` with the crash-safe spelling: the
-//! scenario's cache loads from the pile's merged verdict set, and the
-//! run's verdicts append as one atomic record afterwards — many processes
-//! can share one pile concurrently with no merge step and no lost-update
-//! window. The `pile` subcommands bridge formats (`pile import` folds
-//! `.vcapcache` files in, `pile export` merges a pile back out to one
-//! canonical cache file, byte-identical to `cache merge` of the same
-//! snapshots) and repair crash damage (`pile recover` truncates a torn
-//! suffix back to the last valid record).
-//!
-//! `--space-file PATH` persists the engine's *candidate spaces* across
-//! runs: the enumeration levels each context pool rebuilds from scratch on
-//! a cold start. An existing space library hydrates every matching context
-//! lazily on its first probe (a corrupted file is rejected with an error;
-//! a corrupted entry inside a valid library is skipped and rebuilt), and
-//! any levels the run grew beyond the snapshot are harvested and saved
-//! back atomically. Keys are catalog-content-addressed like cache
-//! fingerprints, so one space file serves every scenario declaring the
-//! same relations in any declaration order. The `space` subcommands bridge
-//! to piles: `space import` appends library files as space records,
-//! `space export` merges a pile's space records back out to one library
-//! file (per key, the snapshot with the most levels wins), and
-//! `space stats` describes a library file.
+//! The `pile` subcommands maintain piles: `pile import <in...> --pile P`
+//! folds legacy `.vcapcache` and `.vcapspaces` files in (told apart by
+//! their magic bytes, each validated before it is appended), `pile compact
+//! P --out Q [--max N]` writes P's merged cache (optionally truncated to
+//! the newest `N` verdicts) and merged space library to a new two-record
+//! pile Q, `pile recover` truncates a torn suffix back to the last valid
+//! record, and `pile stats` describes a pile.
 //!
 //! `serve --socket PATH [--pile PATH]` starts a resident daemon (unix
 //! socket, line-delimited protocol; see [`viewcap::serve`]) answering
@@ -75,12 +53,10 @@
 //! `client --socket PATH <scenario>` drives a scenario through it and
 //! prints a transcript byte-identical to running the scenario directly.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
-use viewcap_engine::{
-    compact_cache_bytes, merge_cache_bytes, write_bytes_atomic, EngineConfig, PileStore, Session,
-    SpaceLibrary,
-};
+use viewcap_engine::{EngineConfig, PileStore, PileStoreError, Session, SPACE_LIB_MAGIC};
 
 const DEMO: &str = r#"
 # Built-in demo: Example 3.1.5 of Connors (JCSS 1986).
@@ -119,18 +95,12 @@ recheck
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: viewcap-cli [--jobs N] [--stats] [--cache-file PATH | --pile PATH] \
-         [--cache-max N] [--space-file PATH] [--trace-out PATH] [--metrics-out PATH] \
-         <scenario-file> | --demo\n       \
-         viewcap-cli cache merge <in.vcapcache...> --out <out.vcapcache>\n       \
-         viewcap-cli cache compact <file.vcapcache> [--out <out.vcapcache>] [--max N]\n       \
-         viewcap-cli pile import <in.vcapcache...> --pile <file.vcappile>\n       \
-         viewcap-cli pile export <file.vcappile> --out <out.vcapcache>\n       \
+        "usage: viewcap-cli [--jobs N] [--stats] [--pile PATH] [--cache-max N] \
+         [--trace-out PATH] [--metrics-out PATH] <scenario-file> | --demo\n       \
+         viewcap-cli pile import <in.vcapcache|in.vcapspaces...> --pile <file.vcappile>\n       \
+         viewcap-cli pile compact <file.vcappile> --out <new.vcappile> [--max N]\n       \
          viewcap-cli pile recover <file.vcappile>\n       \
          viewcap-cli pile stats <file.vcappile>\n       \
-         viewcap-cli space import <in.vcapspaces...> --pile <file.vcappile>\n       \
-         viewcap-cli space export <file.vcappile> --out <out.vcapspaces>\n       \
-         viewcap-cli space stats <file.vcapspaces>\n       \
          viewcap-cli serve --socket PATH [--pile PATH] [--cache-max N]\n       \
          viewcap-cli client --socket PATH [--jobs N] [--warm KEY] \
          (<scenario-file> | --demo | --ping | --stats | --shutdown)"
@@ -138,14 +108,15 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// `viewcap-cli pile import|export|recover|stats ...`.
+/// `viewcap-cli pile import|compact|recover|stats ...`.
 fn pile_command(args: &[String]) -> ExitCode {
     let Some((sub, rest)) = args.split_first() else {
         return usage();
     };
-    let mut inputs: Vec<std::path::PathBuf> = Vec::new();
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut pile: Option<std::path::PathBuf> = None;
+    let mut inputs: Vec<PathBuf> = Vec::new();
+    let mut out: Option<PathBuf> = None;
+    let mut pile: Option<PathBuf> = None;
+    let mut max: Option<usize> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -157,243 +128,96 @@ fn pile_command(args: &[String]) -> ExitCode {
                 Some(p) => pile = Some(p.into()),
                 None => return usage(),
             },
+            "--max" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => max = (n > 0).then_some(n),
+                None => {
+                    eprintln!("viewcap-cli: --max needs a number (0 = unbounded)");
+                    return ExitCode::FAILURE;
+                }
+            },
             path if !path.starts_with('-') => inputs.push(path.into()),
             _ => return usage(),
         }
     }
-    match sub.as_str() {
-        "import" => {
-            let Some(pile) = pile else {
-                eprintln!("viewcap-cli: pile import needs --pile");
-                return ExitCode::FAILURE;
-            };
-            if inputs.is_empty() {
-                eprintln!("viewcap-cli: pile import needs at least one input file");
-                return ExitCode::FAILURE;
+    let result = match (sub.as_str(), inputs.as_slice(), pile, out) {
+        ("import", [_, ..], Some(pile), None) => pile_import(&pile, &inputs),
+        ("compact", [input], None, Some(out)) => open_pile(input).and_then(|mut store| {
+            let (report, spaces) = store
+                .compact_to(&out, max)
+                .map_err(|e| format!("pile compact -> `{}`: {e}", out.display()))?;
+            println!("compacted {report}, {spaces} space(s) -> {}", out.display());
+            Ok(())
+        }),
+        ("recover", [input], None, None) => match PileStore::recover(input) {
+            Ok((_, report)) => {
+                println!("recovered {report}");
+                Ok(())
             }
-            let mut store = match PileStore::open(&pile) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("viewcap-cli: {}: {e}", pile.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            for path in &inputs {
-                let bytes = match std::fs::read(path) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        eprintln!("viewcap-cli: cannot read `{}`: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match store.append_cache_bytes(&bytes) {
-                    Ok(entries) => println!(
-                        "imported {entries} entries from {} -> {}",
-                        path.display(),
-                        pile.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("viewcap-cli: pile import `{}`: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
+            Err(e) => Err(format!("pile recover `{}`: {e}", input.display())),
+        },
+        ("stats", [input], None, None) => open_pile(input).and_then(|mut store| {
+            let line = pile_stats(&mut store).map_err(|e| format!("pile stats: {e}"))?;
+            println!("{line}");
+            Ok(())
+        }),
+        _ => return usage(),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("viewcap-cli: {e}");
+            ExitCode::FAILURE
         }
-        "export" => {
-            let ([input], Some(out)) = (inputs.as_slice(), out) else {
-                eprintln!("viewcap-cli: pile export takes one pile file and --out");
-                return ExitCode::FAILURE;
-            };
-            let mut store = match PileStore::open(input) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("viewcap-cli: {}: {e}", input.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match store.merged_bytes() {
-                Ok((bytes, report)) => {
-                    if let Err(e) = write_bytes_atomic(&out, &bytes) {
-                        eprintln!("viewcap-cli: cannot write `{}`: {e}", out.display());
-                        return ExitCode::FAILURE;
-                    }
-                    println!("exported {report} -> {}", out.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("viewcap-cli: pile export: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "recover" => {
-            let [input] = inputs.as_slice() else {
-                eprintln!("viewcap-cli: pile recover takes exactly one pile file");
-                return ExitCode::FAILURE;
-            };
-            match PileStore::recover(input) {
-                Ok((_, report)) => {
-                    println!("recovered {report}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("viewcap-cli: pile recover `{}`: {e}", input.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "stats" => {
-            let [input] = inputs.as_slice() else {
-                eprintln!("viewcap-cli: pile stats takes exactly one pile file");
-                return ExitCode::FAILURE;
-            };
-            let mut store = match PileStore::open(input) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("viewcap-cli: {}: {e}", input.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match (store.record_count(), store.merged_bytes()) {
-                (Ok(records), Ok((_, report))) => {
-                    println!("{records} record(s), merged {report}");
-                    ExitCode::SUCCESS
-                }
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("viewcap-cli: pile stats: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
     }
 }
 
-/// `viewcap-cli space import|export|stats ...`.
-fn space_command(args: &[String]) -> ExitCode {
-    let Some((sub, rest)) = args.split_first() else {
-        return usage();
-    };
-    let mut inputs: Vec<std::path::PathBuf> = Vec::new();
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut pile: Option<std::path::PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.into()),
-                None => return usage(),
-            },
-            "--pile" => match it.next() {
-                Some(p) => pile = Some(p.into()),
-                None => return usage(),
-            },
-            path if !path.starts_with('-') => inputs.push(path.into()),
-            _ => return usage(),
-        }
+fn open_pile(path: &Path) -> Result<PileStore, String> {
+    PileStore::open(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// One line describing a pile: its records by kind and what they merge to.
+fn pile_stats(store: &mut PileStore) -> Result<String, PileStoreError> {
+    let (_, merged) = store.merged_bytes()?;
+    Ok(format!(
+        "{} cache record(s), {} space record(s); merged: {} verdict(s), {} space(s)",
+        store.record_count()?,
+        store.space_record_count()?,
+        merged.entries_out,
+        store.load_spaces()?.len()
+    ))
+}
+
+/// Append each input — a cache file or a space library, told apart by its
+/// magic bytes — to `pile` as one record, validating it first.
+fn pile_import(pile: &Path, inputs: &[PathBuf]) -> Result<(), String> {
+    let mut store = open_pile(pile)?;
+    for path in inputs {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+        let imported = if bytes.starts_with(SPACE_LIB_MAGIC) {
+            store
+                .append_space_bytes(&bytes)
+                .map(|n| format!("{n} space(s)"))
+        } else {
+            store
+                .append_cache_bytes(&bytes)
+                .map(|n| format!("{n} entries"))
+        };
+        let imported = imported.map_err(|e| format!("pile import `{}`: {e}", path.display()))?;
+        println!(
+            "imported {imported} from {} -> {}",
+            path.display(),
+            pile.display()
+        );
     }
-    match sub.as_str() {
-        "import" => {
-            let Some(pile) = pile else {
-                eprintln!("viewcap-cli: space import needs --pile");
-                return ExitCode::FAILURE;
-            };
-            if inputs.is_empty() {
-                eprintln!("viewcap-cli: space import needs at least one input file");
-                return ExitCode::FAILURE;
-            }
-            let mut store = match PileStore::open(&pile) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("viewcap-cli: {}: {e}", pile.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            for path in &inputs {
-                let bytes = match std::fs::read(path) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        eprintln!("viewcap-cli: cannot read `{}`: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match store.append_space_bytes(&bytes) {
-                    Ok(entries) => println!(
-                        "imported {entries} space(s) from {} -> {}",
-                        path.display(),
-                        pile.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("viewcap-cli: space import `{}`: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "export" => {
-            let ([input], Some(out)) = (inputs.as_slice(), out) else {
-                eprintln!("viewcap-cli: space export takes one pile file and --out");
-                return ExitCode::FAILURE;
-            };
-            let mut store = match PileStore::open(input) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("viewcap-cli: {}: {e}", input.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match store.load_spaces() {
-                Ok(library) => {
-                    if let Err(e) = library.save(&out) {
-                        eprintln!("viewcap-cli: cannot write `{}`: {e}", out.display());
-                        return ExitCode::FAILURE;
-                    }
-                    println!("exported {} space(s) -> {}", library.len(), out.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("viewcap-cli: space export: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "stats" => {
-            let [input] = inputs.as_slice() else {
-                eprintln!("viewcap-cli: space stats takes exactly one library file");
-                return ExitCode::FAILURE;
-            };
-            let bytes = match std::fs::read(input) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    eprintln!("viewcap-cli: cannot read `{}`: {e}", input.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match SpaceLibrary::from_bytes(&bytes) {
-                Ok(library) => {
-                    println!("{} space(s), {} byte(s)", library.len(), bytes.len());
-                    for (digest, payload) in library.iter() {
-                        println!("  {digest:032x}  {} byte(s)", payload.len());
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("viewcap-cli: space stats `{}`: {e}", input.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
-    }
+    Ok(())
 }
 
 /// `viewcap-cli serve --socket PATH [--pile PATH] [--cache-max N]`.
 #[cfg(unix)]
 fn serve_command(args: &[String]) -> ExitCode {
     let mut config = viewcap::serve::ServeConfig {
-        socket: std::path::PathBuf::new(),
+        socket: PathBuf::new(),
         pile: None,
         cache_max: None,
     };
@@ -435,7 +259,7 @@ fn serve_command(args: &[String]) -> ExitCode {
 #[cfg(unix)]
 fn client_command(args: &[String]) -> ExitCode {
     use viewcap::serve::{client_request, ClientRequest};
-    let mut socket: Option<std::path::PathBuf> = None;
+    let mut socket: Option<PathBuf> = None;
     let mut jobs = 1usize;
     let mut warm_key: Option<String> = None;
     let mut source: Option<String> = None;
@@ -503,105 +327,10 @@ fn client_command(args: &[String]) -> ExitCode {
     }
 }
 
-/// `viewcap-cli cache merge|compact ...`.
-fn cache_command(args: &[String]) -> ExitCode {
-    let Some((sub, rest)) = args.split_first() else {
-        return usage();
-    };
-    let mut inputs: Vec<std::path::PathBuf> = Vec::new();
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut max: Option<usize> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.into()),
-                None => return usage(),
-            },
-            "--max" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => max = (n > 0).then_some(n),
-                None => {
-                    eprintln!("viewcap-cli: --max needs a number (0 = unbounded)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            path if !path.starts_with('-') => inputs.push(path.into()),
-            _ => return usage(),
-        }
-    }
-    let read = |path: &std::path::Path| match std::fs::read(path) {
-        Ok(bytes) => Some(bytes),
-        Err(e) => {
-            eprintln!("viewcap-cli: cannot read `{}`: {e}", path.display());
-            None
-        }
-    };
-    match sub.as_str() {
-        "merge" => {
-            let Some(out) = out else {
-                eprintln!("viewcap-cli: cache merge needs --out");
-                return ExitCode::FAILURE;
-            };
-            if inputs.is_empty() {
-                eprintln!("viewcap-cli: cache merge needs at least one input file");
-                return ExitCode::FAILURE;
-            }
-            let mut files = Vec::with_capacity(inputs.len());
-            for path in &inputs {
-                match read(path) {
-                    Some(bytes) => files.push(bytes),
-                    None => return ExitCode::FAILURE,
-                }
-            }
-            match merge_cache_bytes(&files) {
-                Ok((bytes, report)) => {
-                    if let Err(e) = write_bytes_atomic(&out, &bytes) {
-                        eprintln!("viewcap-cli: cannot write `{}`: {e}", out.display());
-                        return ExitCode::FAILURE;
-                    }
-                    println!("merged {report} -> {}", out.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("viewcap-cli: cache merge: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "compact" => {
-            let [input] = inputs.as_slice() else {
-                eprintln!("viewcap-cli: cache compact takes exactly one input file");
-                return ExitCode::FAILURE;
-            };
-            let Some(bytes) = read(input) else {
-                return ExitCode::FAILURE;
-            };
-            let out = out.unwrap_or_else(|| input.clone());
-            match compact_cache_bytes(&bytes, max) {
-                Ok((bytes, report)) => {
-                    if let Err(e) = write_bytes_atomic(&out, &bytes) {
-                        eprintln!("viewcap-cli: cannot write `{}`: {e}", out.display());
-                        return ExitCode::FAILURE;
-                    }
-                    println!("compacted {report} -> {}", out.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("viewcap-cli: cache compact: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("cache") => return cache_command(&args[1..]),
         Some("pile") => return pile_command(&args[1..]),
-        Some("space") => return space_command(&args[1..]),
         #[cfg(unix)]
         Some("serve") => return serve_command(&args[1..]),
         #[cfg(unix)]
@@ -615,12 +344,10 @@ fn main() -> ExitCode {
     }
     let mut options = ScenarioOptions::default();
     let mut stats = false;
-    let mut cache_file: Option<std::path::PathBuf> = None;
-    let mut pile_file: Option<std::path::PathBuf> = None;
+    let mut pile_file: Option<PathBuf> = None;
     let mut cache_max: Option<usize> = None;
-    let mut space_file: Option<std::path::PathBuf> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
+    let mut trace_out: Option<PathBuf> = None;
+    let mut metrics_out: Option<PathBuf> = None;
     let mut source: Option<String> = None;
 
     let mut it = args.iter();
@@ -635,13 +362,6 @@ fn main() -> ExitCode {
                 };
                 options.jobs = n;
             }
-            "--cache-file" => {
-                let Some(path) = it.next() else {
-                    eprintln!("viewcap-cli: --cache-file needs a path");
-                    return ExitCode::FAILURE;
-                };
-                cache_file = Some(path.into());
-            }
             "--pile" => {
                 let Some(path) = it.next() else {
                     eprintln!("viewcap-cli: --pile needs a path");
@@ -655,13 +375,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 cache_max = (n > 0).then_some(n);
-            }
-            "--space-file" => {
-                let Some(path) = it.next() else {
-                    eprintln!("viewcap-cli: --space-file needs a path");
-                    return ExitCode::FAILURE;
-                };
-                space_file = Some(path.into());
             }
             "--trace-out" => {
                 let Some(path) = it.next() else {
@@ -696,19 +409,13 @@ fn main() -> ExitCode {
         viewcap_obs::set_enabled(true);
     }
 
-    // One `EngineConfig` names everything the run needs — cache source
-    // (file, pile, or a fresh bounded cache) and space library — and
-    // `Session::open` loads it all eagerly: a corrupt file errors here,
-    // never a silent cold start.
+    // One `EngineConfig` names everything the run needs — a fresh bounded
+    // cache, or a pile's verdicts and space library — and `Session::open`
+    // loads it eagerly: a damaged pile errors here, never a silent cold
+    // start.
     let mut config = EngineConfig::new().cache_max(cache_max);
-    if let Some(path) = &cache_file {
-        config = config.cache_file(path);
-    }
     if let Some(path) = &pile_file {
         config = config.pile(path);
-    }
-    if let Some(path) = &space_file {
-        config = config.space_file(path);
     }
     let mut session = match Session::open(config) {
         Ok(session) => session,
@@ -734,13 +441,13 @@ fn main() -> ExitCode {
                 // transcript, byte-identical under every flag combination.
                 eprint!("{}", outcome.run_stats());
             }
-            // Write back everything the configuration promised: the cache
-            // file, the pile append, the harvested candidate spaces.
+            // Append the run's verdicts and grown candidate spaces to the
+            // pile, if one is configured.
             if let Err(e) = session.persist(&outcome.catalog) {
                 eprintln!("viewcap-cli: cannot persist: {e}");
                 return ExitCode::FAILURE;
             }
-            // The cache save above belongs in the telemetry too, so the
+            // The pile append above belongs in the telemetry too, so the
             // snapshot and trace are written last.
             if let Some(path) = &metrics_out {
                 let snapshot = viewcap_obs::snapshot();

@@ -23,7 +23,8 @@
 //! Every response is `OK <len>\n<len bytes>` or `ERR <len>\n<len bytes>`.
 //! Both sides refuse a header line longer than [`MAX_HEADER_BYTES`] and a
 //! `<len>` above [`MAX_FRAME_BYTES`] before allocating anything for it;
-//! the daemon answers either with `ERR`.
+//! the daemon answers either with `ERR`. The daemon drops a connection
+//! whose reads or writes stall past [`IO_TIMEOUT`].
 //! A `RUN` response body is *exactly* the batch CLI's stdout for the same
 //! scenario — the report plus the final `-- N check(s) answered YES…`
 //! line — so transcripts can be diffed byte-for-byte against `viewcap-cli
@@ -53,6 +54,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_engine::{Engine, EngineConfig, PileStore, SpaceLibrary, VerdictCache};
@@ -64,6 +66,12 @@ pub const MAX_HEADER_BYTES: u64 = 4096;
 /// Largest body either side accepts: a `RUN` scenario or a response.
 /// The largest the tests and the benchmark send is about 10 KiB.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// How long the daemon waits on any one read from, or write to, a client
+/// before dropping the connection. Requests are served one at a time, so
+/// this bounds how long a stalled client — a header without its newline,
+/// a body shorter than its `<len>` — holds up every client behind it.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Read one header line, newline stripped. `Ok(None)` when the line runs
 /// past [`MAX_HEADER_BYTES`] without ending.
@@ -205,18 +213,12 @@ impl Daemon {
         // Fold the request's grown candidate spaces back into the warm
         // library before persisting anything, so the pile append below
         // carries them too.
-        let harvested = engine.harvest_spaces();
+        let spaces_grew = engine.harvest_spaces() > 0;
         if let Some(pile) = &self.pile {
-            let mut pile = pile.lock().expect("pile lock");
-            pile.append_cache(engine.cache(), &outcome.catalog)
+            pile.lock()
+                .expect("pile lock")
+                .append_run(&engine, &outcome.catalog, spaces_grew)
                 .map_err(|e| format!("pile append failed: {e}"))?;
-            if harvested > 0 {
-                if let Some(spaces) = engine.shared_spaces() {
-                    let library = spaces.lock().expect("space library lock");
-                    pile.append_spaces(&library)
-                        .map_err(|e| format!("pile space append failed: {e}"))?;
-                }
-            }
         }
         *self.served.lock().expect("served lock") += 1;
         Ok(format!(
@@ -296,8 +298,8 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
     let mut shutdown = false;
     while !shutdown {
         let (stream, _) = listener.accept()?;
-        // One request per connection; a broken client never wedges the
-        // daemon, it just drops its own connection.
+        // One request per connection; a broken or stalled client never
+        // wedges the daemon, it just drops its own connection.
         if let Err(e) = handle_connection(&daemon, stream, &mut shutdown) {
             eprintln!("viewcap-serve: connection error: {e}");
         }
@@ -312,6 +314,8 @@ fn handle_connection(
     stream: UnixStream,
     shutdown: &mut bool,
 ) -> Result<(), ServeError> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
     let Some(header) = read_header(&mut reader)? else {

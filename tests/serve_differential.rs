@@ -214,4 +214,40 @@ fn daemon_rejects_malformed_requests_without_dying() {
     );
     assert_ok(&ping, "ping after malformed requests");
     assert_eq!(ping.stdout, b"pong\n");
+
+    // Two stalled clients, held open: a body shorter than its length, and
+    // a header with no newline. The daemon gives each at most its I/O
+    // timeout, so a later client is answered after about two of them.
+    let stalled: Vec<UnixStream> = ["RUN 1 cold 100\n0123456789", "PING"]
+        .iter()
+        .map(|partial| {
+            let mut stream = UnixStream::connect(&socket).unwrap();
+            stream.write_all(partial.as_bytes()).unwrap();
+            stream
+        })
+        .collect();
+    let bound = viewcap::serve::IO_TIMEOUT * 2 + Duration::from_secs(10);
+    // Bounded on this side too, so a daemon that never answers fails the
+    // test instead of hanging it.
+    let request = |body: &str| {
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        stream.set_read_timeout(Some(bound)).unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .unwrap_or_else(|e| panic!("no answer to {body:?} within {bound:?}: {e}"));
+        response
+    };
+    let start = Instant::now();
+    assert_eq!(request("PING\n"), "OK 5\npong\n");
+    assert!(
+        start.elapsed() < bound,
+        "ping took {:?} behind stalled clients",
+        start.elapsed()
+    );
+    drop(stalled);
+    let scenario = std::fs::read_to_string(scenario_path("example_3_1_5")).unwrap();
+    let ran = request(&format!("RUN 1 cold {}\n{scenario}", scenario.len()));
+    assert!(ran.starts_with("OK "), "RUN after stalled clients: {ran:?}");
 }
