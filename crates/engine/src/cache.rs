@@ -1,25 +1,16 @@
-//! The sharded concurrent verdict cache, optionally bounded.
+//! The verdict cache, optionally bounded.
 //!
-//! A fixed array of `RwLock<HashMap>` shards keyed by
-//! `(kind, fingerprint, fingerprint)`. Reads take a shard read lock;
-//! inserts take a shard write lock. Shard choice mixes both fingerprints,
-//! so unrelated checks contend on different locks.
+//! One [`Lru`] keyed by `(kind, fingerprint, fingerprint)` behind one lock,
+//! with its [`CacheStats`] under the same lock. Nothing contends for it:
+//! [`crate::Engine::run_batch`] resolves and publishes on the calling
+//! thread, and its workers only compute.
 //!
-//! **Boundedness.** A cache built with [`VerdictCache::bounded`] enforces a
-//! *global* entry capacity across all shards. Every hit stamps the entry
-//! with a global access clock (an atomic store under the shard's *read*
-//! lock, so hits never serialize on writes); when an insert pushes the
-//! total past capacity, the globally least-recently-stamped entry is
-//! evicted — "sharded LRU-ish": exact LRU victims, approximate only in that
-//! concurrent stamping can race the victim scan. Victim selection keeps a
-//! lazy min-heap of `(stamp, key)` per shard: inserts push their stamp,
-//! hits only touch the entry's atomic stamp, and eviction pops each
-//! shard's heap until the top agrees with its entry's current stamp
-//! (stale tops are re-pushed at their fresh stamp, tops for removed keys
-//! are dropped), then takes the minimum across shards — O(log entries)
-//! amortized instead of the old full scan per insert at capacity. All
-//! counters ([`CacheStats`]) are exact: hits and misses are counted at
-//! lookup, evictions at removal, whatever the capacity.
+//! **Boundedness.** A cache built with [`VerdictCache::bounded`] holds at
+//! most that many entries. Every hit and every store marks its entry most
+//! recently used; when an insert pushes the count past capacity, the exact
+//! least-recently-used entry is evicted. All counters are exact: hits and
+//! misses are counted at lookup, evictions at removal, whatever the
+//! capacity.
 //!
 //! Soundness: equal fingerprints imply isomorphic reduced templates *of
 //! equal relation content* (see [`crate::fingerprint`]), and every
@@ -33,13 +24,11 @@
 //! the consumer's catalog on first hit (see `foreign` on [`Entry`]).
 
 use crate::fingerprint::Fingerprint;
+use crate::lru::Lru;
 use crate::persist::ImportTables;
 use crate::verdict::{CheckKind, Verdict};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use viewcap_obs as obs;
 
 /// Telemetry mirrors of the [`CacheStats`] counters (live only while
@@ -48,9 +37,6 @@ use viewcap_obs as obs;
 static CACHE_HIT: obs::Counter = obs::Counter::new("engine.cache.hit");
 static CACHE_MISS: obs::Counter = obs::Counter::new("engine.cache.miss");
 static CACHE_EVICT: obs::Counter = obs::Counter::new("engine.cache.eviction");
-
-/// Number of independent shards (power of two).
-pub const SHARD_COUNT: usize = 16;
 
 /// Cache key: procedure plus the canonical fingerprints of its operands.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -94,87 +80,6 @@ pub struct Entry {
     pub foreign: bool,
 }
 
-/// An entry plus its last-access stamp from the global clock.
-struct Slot {
-    entry: Entry,
-    stamp: AtomicU64,
-}
-
-/// A lazy heap record: the stamp a key had when it was pushed. The
-/// authoritative stamp lives in the entry's [`Slot`]; a heap record whose
-/// stamp disagrees is stale and is dropped (key gone) or re-pushed at the
-/// fresh stamp (key touched since) when it surfaces at the top.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
-    stamp: u64,
-    key: CacheKey,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.stamp, self.key.sort_key()).cmp(&(other.stamp, other.key.sort_key()))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One shard: the entry map plus the lazy eviction heap over it.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<CacheKey, Slot>,
-    /// Min-heap (via [`Reverse`]) of possibly stale `(stamp, key)` records.
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-}
-
-impl Shard {
-    /// Pop stale heap tops until the top record agrees with its entry's
-    /// current stamp; returns that validated minimum, or `None` for an
-    /// empty shard. Requires exclusive access (stamps cannot move under a
-    /// write lock, so at most one re-push happens per key).
-    fn validated_min(&mut self) -> Option<HeapEntry> {
-        // Lazy deletion can leave the heap larger than the map; rebuild it
-        // from the authoritative stamps when it has grown too stale.
-        if self.heap.len() > 2 * self.map.len() + 64 {
-            self.heap = self
-                .map
-                .iter()
-                .map(|(key, slot)| {
-                    Reverse(HeapEntry {
-                        stamp: slot.stamp.load(Ordering::Relaxed),
-                        key: *key,
-                    })
-                })
-                .collect();
-        }
-        while let Some(&Reverse(top)) = self.heap.peek() {
-            match self.map.get(&top.key) {
-                // The key was evicted or never re-inserted: drop the record.
-                None => {
-                    self.heap.pop();
-                }
-                Some(slot) => {
-                    let current = slot.stamp.load(Ordering::Relaxed);
-                    if current == top.stamp {
-                        return Some(top);
-                    }
-                    // Touched since it was pushed: re-file under the fresh
-                    // stamp and keep looking.
-                    self.heap.pop();
-                    self.heap.push(Reverse(HeapEntry {
-                        stamp: current,
-                        key: top.key,
-                    }));
-                }
-            }
-        }
-        None
-    }
-}
-
 /// Counters for one cache (monotonic; snapshot via [`VerdictCache::stats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
@@ -198,34 +103,31 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Sharded fingerprint-keyed verdict store with optional capacity bound.
+/// The entries and their counters, under the cache's one lock.
+#[derive(Default)]
+struct Inner {
+    entries: Lru<CacheKey, Entry>,
+    /// Hits, misses and evictions; `entries` is filled in by
+    /// [`VerdictCache::stats`].
+    stats: CacheStats,
+}
+
+/// Fingerprint-keyed verdict store with optional capacity bound.
+#[derive(Default)]
 pub struct VerdictCache {
-    shards: Vec<RwLock<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Total entries across shards (kept exact under the shard locks).
-    len: AtomicUsize,
-    /// Global access clock driving the LRU-ish stamps.
-    clock: AtomicU64,
+    inner: Mutex<Inner>,
     /// `None` = unbounded.
     max_entries: Option<usize>,
     /// Producer name tables of a disk-loaded cache, used to translate
     /// `foreign` entries into a live catalog on first hit. Set once by
     /// [`crate::persist::load_cache`].
-    import: std::sync::OnceLock<Arc<ImportTables>>,
-}
-
-impl Default for VerdictCache {
-    fn default() -> Self {
-        VerdictCache::new()
-    }
+    import: OnceLock<Arc<ImportTables>>,
 }
 
 impl VerdictCache {
     /// Empty, unbounded cache.
     pub fn new() -> Self {
-        VerdictCache::bounded(None)
+        VerdictCache::default()
     }
 
     /// Empty cache holding at most `max_entries` verdicts (`None` =
@@ -234,16 +136,8 @@ impl VerdictCache {
     /// bookkeeping uniform.
     pub fn bounded(max_entries: Option<usize>) -> Self {
         VerdictCache {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
             max_entries: max_entries.map(|m| m.max(1)),
-            import: std::sync::OnceLock::new(),
+            ..VerdictCache::default()
         }
     }
 
@@ -263,39 +157,22 @@ impl VerdictCache {
         self.max_entries
     }
 
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        let mixed = key.left.as_u128() ^ key.right.as_u128().rotate_left(64);
-        (mixed as usize) & (SHARD_COUNT - 1)
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cache lock")
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Look up a verdict, counting the hit or miss and refreshing the
-    /// entry's recency stamp.
+    /// Look up a verdict, counting the hit or miss and marking the entry
+    /// most recently used.
     pub fn get(&self, key: &CacheKey) -> Option<Entry> {
-        let shard = self.shards[self.shard_index(key)]
-            .read()
-            .expect("cache lock");
-        let found = shard.map.get(key).map(|slot| {
-            // The heap record for this key is now stale; eviction re-files
-            // it lazily. Hits touch only this atomic, never the heap, so
-            // they keep running under the read lock.
-            slot.stamp.store(self.tick(), Ordering::Relaxed);
-            slot.entry.clone()
-        });
-        drop(shard);
-        match &found {
-            Some(_) => {
-                CACHE_HIT.add(1);
-                self.hits.fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                CACHE_MISS.add(1);
-                self.misses.fetch_add(1, Ordering::Relaxed)
-            }
-        };
+        let mut inner = self.lock();
+        let found = inner.entries.get(key).cloned();
+        if found.is_some() {
+            CACHE_HIT.add(1);
+            inner.stats.hits += 1;
+        } else {
+            CACHE_MISS.add(1);
+            inner.stats.misses += 1;
+        }
         found
     }
 
@@ -315,91 +192,29 @@ impl VerdictCache {
     }
 
     fn store(&self, key: CacheKey, entry: Entry, overwrite: bool) {
-        {
-            let mut shard = self.shards[self.shard_index(&key)]
-                .write()
-                .expect("cache lock");
-            let stamp = self.tick();
-            let mut fresh = false;
-            match shard.map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if overwrite {
-                        slot.get_mut().entry = entry;
-                    }
-                    slot.get().stamp.store(stamp, Ordering::Relaxed);
-                }
-                std::collections::hash_map::Entry::Vacant(vacant) => {
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    fresh = true;
-                    vacant.insert(Slot {
-                        entry,
-                        stamp: AtomicU64::new(stamp),
-                    });
-                }
-            }
-            if fresh {
-                shard.heap.push(Reverse(HeapEntry { stamp, key }));
-            }
+        let mut inner = self.lock();
+        // Without `overwrite`, an existing entry only becomes most recent.
+        if overwrite || inner.entries.get(&key).is_none() {
+            inner.entries.insert(key, entry);
         }
-        if let Some(max) = self.max_entries {
-            while self.len.load(Ordering::Relaxed) > max && self.evict_oldest() {}
-        }
-    }
-
-    /// Remove the globally least-recently-stamped entry. Returns `false`
-    /// when nothing could be evicted (empty cache, or lost every race).
-    fn evict_oldest(&self) -> bool {
-        // Pass 1: each shard's validated heap minimum (popping records made
-        // stale by hits or earlier evictions), then the global minimum.
-        let mut victim: Option<(usize, HeapEntry)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.write().expect("cache lock");
-            if let Some(min) = shard.validated_min() {
-                if victim.is_none_or(|(_, best)| min < best) {
-                    victim = Some((i, min));
-                }
-            }
-        }
-        // Pass 2: remove it (if a concurrent touch re-stamped it between
-        // the passes, evict anyway — "LRU-ish", and the bound is what
-        // matters). The victim's heap record stays behind and is dropped
-        // lazily the next time it surfaces.
-        let Some((i, HeapEntry { key, .. })) = victim else {
-            return false;
-        };
-        let removed = self.shards[i]
-            .write()
-            .expect("cache lock")
-            .map
-            .remove(&key)
-            .is_some();
-        if removed {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let max = self.max_entries.unwrap_or(usize::MAX);
+        while inner.entries.len() > max {
+            inner.entries.pop_lru();
+            inner.stats.evictions += 1;
             CACHE_EVICT.add(1);
-            obs::instant(
-                "engine.cache.evict",
-                "cache",
-                &[("entries", self.len.load(Ordering::Relaxed) as u64)],
-            );
+            let entries = inner.entries.len() as u64;
+            obs::instant("engine.cache.evict", "cache", &[("entries", entries)]);
         }
-        removed
     }
 
     /// Snapshot every entry, sorted by key — the deterministic iteration
     /// order used by cache persistence ([`crate::persist`]).
     pub fn snapshot(&self) -> Vec<(CacheKey, Entry)> {
         let mut out: Vec<(CacheKey, Entry)> = self
-            .shards
+            .lock()
+            .entries
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("cache lock")
-                    .map
-                    .iter()
-                    .map(|(k, slot)| (*k, slot.entry.clone()))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(key, entry)| (*key, entry.clone()))
             .collect();
         out.sort_unstable_by_key(|(k, _)| k.sort_key());
         out
@@ -407,11 +222,10 @@ impl VerdictCache {
 
     /// Snapshot the counters.
     pub fn stats(&self) -> CacheStats {
+        let inner = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len.load(Ordering::Relaxed),
+            entries: inner.entries.len(),
+            ..inner.stats
         }
     }
 }
@@ -510,9 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_eviction_matches_a_reference_lru_model() {
-        // Sequential operations make the access stamps exact, so the lazy
-        // per-shard heaps must agree with a literal LRU list at every step.
+    fn bounded_cache_evicts_like_a_reference_lru_list() {
+        // The cache must agree with a literal LRU list at every step.
         let cap = 8usize;
         let cache = VerdictCache::bounded(Some(cap));
         let mut state: u64 = 0x2545_F491_4F6C_DD1D;
@@ -520,7 +333,8 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            state
+            // The high bits: an LCG's low bits cycle with short periods.
+            state >> 33
         };
         // `model` keeps keys in recency order, most recent last.
         let mut model: Vec<u128> = Vec::new();
@@ -551,6 +365,28 @@ mod tests {
             .collect();
         let expected: std::collections::BTreeSet<u128> = model.iter().copied().collect();
         assert_eq!(present, expected, "cache contents diverged from LRU model");
+    }
+
+    #[test]
+    fn concurrent_lookups_keep_exact_counters_and_the_bound() {
+        let cache = VerdictCache::bounded(Some(8));
+        let (threads, rounds) = (4u128, 500u128);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let cache = &cache;
+                scope.spawn(move || {
+                    for n in 0..rounds {
+                        let k = key(CheckKind::Member, (n * 7 + t) % 24, 0);
+                        if cache.get(&k).is_none() {
+                            cache.insert(k, entry());
+                        }
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(u128::from(stats.hits + stats.misses), threads * rounds);
+        assert!(stats.entries <= 8, "{stats}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// Bound the verdict cache to `max` entries with LRU-ish eviction
+    /// Bound the verdict cache to `max` entries with exact LRU eviction
     /// (`None` = unbounded). Applies to fresh and pile-loaded caches.
     pub fn cache_max(mut self, max: Option<usize>) -> Self {
         self.cache_max = max;

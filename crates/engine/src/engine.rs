@@ -20,13 +20,14 @@ use crate::fingerprint::{
     ordered_view_fingerprint, query_fingerprint, view_fingerprint, view_query_fingerprints,
     Fingerprint,
 };
+use crate::lru::Lru;
 use crate::spacestore::SpaceLibrary;
 use crate::verdict::{CheckKind, Verdict};
 use crate::workload::{Check, Workload};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use viewcap_base::{Catalog, RelId};
 use viewcap_core::equivalence::{dominates_via, EquivalenceWitness};
 use viewcap_core::{ClosureContext, ClosureMember, NormContext, SearchBudget, View};
@@ -76,6 +77,16 @@ pub struct Decision {
 }
 
 impl Decision {
+    /// The decision `entry` gives one request.
+    fn of(entry: &Entry, from_cache: bool, flipped: bool) -> Decision {
+        Decision {
+            verdict: Arc::clone(&entry.verdict),
+            from_cache,
+            left_query_fps: Arc::clone(&entry.left_query_fps),
+            flipped,
+        }
+    }
+
     /// View-schema names aligned with the witness's query indices.
     ///
     /// A cached membership proof indexes the *producer's* defining-query
@@ -155,8 +166,8 @@ pub struct EnumStats {
 
 impl EnumStats {
     /// Fieldwise sum — folds per-context counters into pool totals and
-    /// the two pools into one. Saturating: a long-lived engine (a future `viewcap-serve` daemon)
-    /// must pin at `u64::MAX` rather than wrap.
+    /// the two pools into one. Saturating, so a long-lived engine pins
+    /// at `u64::MAX` rather than wrapping.
     fn plus(self, other: EnumStats) -> EnumStats {
         EnumStats {
             contexts: self.contexts.saturating_add(other.contexts),
@@ -233,9 +244,8 @@ struct PoolObs {
 }
 
 struct PoolInner<C> {
-    /// Each live context with its last-use stamp (for LRU retirement).
-    map: HashMap<Vec<Fingerprint>, (Arc<Mutex<C>>, u64)>,
-    clock: u64,
+    /// Live contexts; past [`MAX_CONTEXTS`] the least recently used go.
+    live: Lru<Vec<Fingerprint>, Arc<Mutex<C>>>,
     /// Counters harvested from retired contexts, so [`EnumStats`] stays
     /// cumulative across evictions.
     retired: EnumStats,
@@ -254,8 +264,7 @@ impl<C: PooledContext> Pool<C> {
     fn new(obs: PoolObs) -> Self {
         Pool {
             inner: Mutex::new(PoolInner {
-                map: HashMap::new(),
-                clock: 0,
+                live: Lru::default(),
                 retired: EnumStats::default(),
             }),
             obs,
@@ -274,36 +283,20 @@ impl<C: PooledContext> Pool<C> {
         mut retire: impl FnMut(&C),
     ) -> Arc<Mutex<C>> {
         let mut inner = self.inner.lock().expect("context pool lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let context = match inner.map.get_mut(&key) {
-            Some((context, last_used)) => {
-                *last_used = stamp;
-                self.obs.reuse.add(1);
-                Arc::clone(context)
-            }
-            None => {
-                self.obs.build.add(1);
-                obs::instant(
-                    self.obs.build.name(),
-                    self.obs.category,
-                    &[("queries", key.len() as u64)],
-                );
-                let context = Arc::new(Mutex::new(build()));
-                inner.map.insert(key, (Arc::clone(&context), stamp));
-                context
-            }
-        };
-        while inner.map.len() > MAX_CONTEXTS {
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let Some((retiree, _)) = inner.map.remove(&victim) else {
+        if let Some(context) = inner.live.get(&key) {
+            self.obs.reuse.add(1);
+            return Arc::clone(context);
+        }
+        self.obs.build.add(1);
+        obs::instant(
+            self.obs.build.name(),
+            self.obs.category,
+            &[("queries", key.len() as u64)],
+        );
+        let context = Arc::new(Mutex::new(build()));
+        inner.live.insert(key, Arc::clone(&context));
+        while inner.live.len() > MAX_CONTEXTS {
+            let Some((_, retiree)) = inner.live.pop_lru() else {
                 break;
             };
             let retiree = retiree.lock().expect("context lock");
@@ -324,14 +317,14 @@ impl<C: PooledContext> Pool<C> {
     /// `retire`).
     fn for_each_live(&self, mut f: impl FnMut(&C)) {
         let inner = self.inner.lock().expect("context pool lock");
-        for (context, _) in inner.map.values() {
+        for (_, context) in inner.live.iter() {
             f(&context.lock().expect("context lock"));
         }
     }
 
     fn stats(&self) -> EnumStats {
         let inner = self.inner.lock().expect("context pool lock");
-        inner.map.values().fold(inner.retired, |acc, (context, _)| {
+        inner.live.iter().fold(inner.retired, |acc, (_, context)| {
             acc.plus(context.lock().expect("context lock").enum_stats())
         })
     }
@@ -554,7 +547,7 @@ impl Engine {
             .inner
             .lock()
             .expect("context pool lock")
-            .map
+            .live
             .len()
     }
 
@@ -661,11 +654,7 @@ impl Engine {
         flipped: bool,
         catalog: &Catalog,
     ) -> Result<Entry, SearchOverflow> {
-        let t0 = if obs::enabled() {
-            Some(obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = obs::enabled().then(obs::now_ns);
         let _span = CHECK_SPAN.start();
         let (verdict, left_view) = match check {
             Check::Member { view, goal } => {
@@ -717,33 +706,10 @@ impl Engine {
         })
     }
 
-    /// Decide one check through the cache.
+    /// Decide one check through the cache: a one-check batch.
     pub fn decide(&self, check: &Check, catalog: &Catalog) -> Result<Decision, SearchOverflow> {
-        let (key, flipped) = Engine::key_and_orientation(check, catalog);
-        let cached = {
-            let mut span = CACHE_RESOLVE_SPAN.start();
-            let cached = self.cached(&key, catalog);
-            span.arg("hits", cached.is_some() as u64);
-            cached
-        };
-        if let Some(entry) = cached {
-            return Ok(Decision {
-                verdict: entry.verdict,
-                from_cache: true,
-                left_query_fps: entry.left_query_fps,
-                flipped,
-            });
-        }
-        let entry = self.compute(check, flipped, catalog)?;
-        // `replace`, not `insert`: if an untranslatable foreign entry
-        // occupies this key, the fresh native entry must shadow it.
-        self.cache.replace(key, entry.clone());
-        Ok(Decision {
-            verdict: entry.verdict,
-            from_cache: false,
-            left_query_fps: entry.left_query_fps,
-            flipped,
-        })
+        let mut outcome = self.run_checks(&[check], catalog, 1);
+        outcome.results.pop().expect("one check, one result")
     }
 
     /// Simplify `view`'s defining query set (Section 4 normal form)
@@ -785,18 +751,9 @@ impl Engine {
             cached
         };
         if let Some(entry) = cached {
-            return Ok(Decision {
-                verdict: entry.verdict,
-                from_cache: true,
-                left_query_fps: entry.left_query_fps,
-                flipped: false,
-            });
+            return Ok(Decision::of(&entry, true, false));
         }
-        let t0 = if obs::enabled() {
-            Some(obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = obs::enabled().then(obs::now_ns);
         let _span = NORMALIZE_SPAN.start();
         let context = self.norm_context(view, catalog);
         let queries = view.query_set();
@@ -826,37 +783,38 @@ impl Engine {
             foreign: false,
             left_query_fps: Arc::from(view_query_fingerprints(view, catalog).as_slice()),
         };
-        self.cache.replace(key, entry.clone());
-        Ok(Decision {
-            verdict: entry.verdict,
-            from_cache: false,
-            left_query_fps: entry.left_query_fps,
-            flipped: false,
-        })
+        let decision = Decision::of(&entry, false, false);
+        self.cache.replace(key, entry);
+        Ok(decision)
     }
 
     /// Decide a whole workload: dedup → cache → parallel compute →
     /// positional reassembly. `jobs == 0` means "use available
     /// parallelism"; results are identical for every `jobs` value.
     pub fn run_batch(&self, workload: &Workload, catalog: &Catalog, jobs: usize) -> BatchOutcome {
-        let total = workload.len();
+        let checks: Vec<&Check> = workload.requests.iter().map(|r| &r.check).collect();
+        self.run_checks(&checks, catalog, jobs)
+    }
+
+    /// [`Engine::run_batch`] over borrowed checks, so [`Engine::decide`]
+    /// runs one without cloning it.
+    fn run_checks(&self, checks: &[&Check], catalog: &Catalog, jobs: usize) -> BatchOutcome {
+        let total = checks.len();
         let mut batch_span = BATCH_SPAN.start();
         batch_span.arg("checks", total as u64);
 
         // 1. Fingerprint every request and elect one representative per
         //    class — sequential, so the election is order-deterministic.
         let mut slot_of_key: HashMap<CacheKey, usize> = HashMap::new();
-        let mut request_slots: Vec<usize> = Vec::with_capacity(total);
-        let mut request_flipped: Vec<bool> = Vec::with_capacity(total);
+        let mut requests: Vec<(usize, bool)> = Vec::with_capacity(total);
         let mut representatives: Vec<(CacheKey, &Check, bool)> = Vec::new();
-        for request in &workload.requests {
-            let (key, flipped) = Engine::key_and_orientation(&request.check, catalog);
+        for &check in checks {
+            let (key, flipped) = Engine::key_and_orientation(check, catalog);
             let slot = *slot_of_key.entry(key).or_insert_with(|| {
-                representatives.push((key, &request.check, flipped));
+                representatives.push((key, check, flipped));
                 representatives.len() - 1
             });
-            request_slots.push(slot);
-            request_flipped.push(flipped);
+            requests.push((slot, flipped));
         }
         let distinct = representatives.len();
         batch_span.arg("distinct", distinct as u64);
@@ -874,43 +832,40 @@ impl Engine {
         resolve_span.arg("hits", cache_hits as u64);
         drop(resolve_span);
 
-        // 3. Compute the misses across scoped workers. Contexts are
-        //    pre-created sequentially first, so shared-context creation
-        //    order never depends on worker scheduling.
-        for &slot in &todo {
-            let (_, check, flipped) = representatives[slot];
-            self.prewarm(check, flipped, catalog);
-        }
-        let workers = effective_jobs(jobs).min(todo.len());
-        if workers <= 1 {
+        // 3. Compute the misses, on this thread or across scoped workers
+        //    sharing one queue of slots. Contexts are pre-created
+        //    sequentially first, so shared-context creation order never
+        //    depends on worker scheduling. A lone miss always runs on this
+        //    thread, so it creates contexts as it probes.
+        if todo.len() > 1 {
             for &slot in &todo {
                 let (_, check, flipped) = representatives[slot];
-                slot_results[slot] = Some(self.compute(check, flipped, catalog));
+                self.prewarm(check, flipped, catalog);
             }
+        }
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            while let Some(&slot) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (_, check, flipped) = representatives[slot];
+                done.push((slot, self.compute(check, flipped, catalog)));
+            }
+            done
+        };
+        let workers = effective_jobs(jobs).min(todo.len());
+        let outcomes = if workers <= 1 {
+            work()
         } else {
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, Result<Entry, SearchOverflow>)>();
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let todo = &todo;
-                    let representatives = &representatives;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&slot) = todo.get(i) else { break };
-                        let (_, check, flipped) = representatives[slot];
-                        let outcome = self.compute(check, flipped, catalog);
-                        if tx.send((slot, outcome)).is_err() {
-                            break;
-                        }
-                    });
-                }
-            });
-            drop(tx);
-            for (slot, outcome) in rx {
-                slot_results[slot] = Some(outcome);
-            }
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        for (slot, outcome) in outcomes {
+            slot_results[slot] = Some(outcome);
         }
 
         // 4. Publish freshly computed verdicts.
@@ -922,28 +877,19 @@ impl Engine {
             }
         }
 
-        // 5. Reassemble in submission order.
-        let mut computed = vec![false; distinct];
+        // 5. Reassemble in submission order. "From cache" is from the
+        //    caller's perspective: every request of a slot except the
+        //    first request of a slot this batch computed.
+        let mut fresh = vec![false; distinct];
         for &slot in &todo {
-            computed[slot] = true;
+            fresh[slot] = true;
         }
-        let mut seen = vec![false; distinct];
-        let results = request_slots
+        let results = requests
             .iter()
-            .zip(&request_flipped)
-            .map(|(&slot, &flipped)| {
-                // "From cache" from the caller's perspective: either a
-                // pre-batch hit, or deduplicated onto an earlier request of
-                // this batch.
-                let from_cache = !computed[slot] || seen[slot];
-                seen[slot] = true;
+            .map(|&(slot, flipped)| {
+                let from_cache = !std::mem::replace(&mut fresh[slot], false);
                 match slot_results[slot].as_ref().expect("every slot resolved") {
-                    Ok(entry) => Ok(Decision {
-                        verdict: Arc::clone(&entry.verdict),
-                        from_cache,
-                        left_query_fps: Arc::clone(&entry.left_query_fps),
-                        flipped,
-                    }),
+                    Ok(entry) => Ok(Decision::of(entry, from_cache, flipped)),
                     Err(overflow) => Err(overflow.clone()),
                 }
             })
@@ -1203,6 +1149,41 @@ mod tests {
         );
         assert_eq!(stats.probes, total as u64);
         assert_eq!(engine.live_contexts(), super::MAX_CONTEXTS);
+    }
+
+    #[test]
+    fn context_pool_retires_the_least_recently_probed_view() {
+        // Views 0..=MAX_CONTEXTS over distinct relations, each its own
+        // context; `probe(i, goal)` decides a fresh goal against view i.
+        let mut cat = Catalog::new();
+        let mut views = Vec::new();
+        for i in 0..=super::MAX_CONTEXTS {
+            let rel = cat.relation(&format!("S{i}"), &["A", "B"]).unwrap();
+            let ab = cat.scheme(&["A", "B"]).unwrap();
+            let name = cat.fresh_relation(&format!("w{i}"), ab);
+            views.push(View::from_exprs(vec![(viewcap_expr::Expr::rel(rel), name)], &cat).unwrap());
+        }
+        let engine = Engine::new();
+        let probe = |i: usize, goal: &str| {
+            let goal = goal.replace('S', &format!("S{i}"));
+            let goal = Query::from_expr(parse_expr(&goal, &cat).unwrap(), &cat);
+            let check = Check::Member {
+                view: views[i].clone(),
+                goal,
+            };
+            engine.decide(&check, &cat).unwrap();
+            engine.enum_stats().contexts
+        };
+        for i in 0..super::MAX_CONTEXTS {
+            probe(i, "pi{A}(S)");
+        }
+        // Re-probing view 0 makes view 1 the least recently used, so the
+        // next new view retires view 1 and view 0 stays live.
+        let full = super::MAX_CONTEXTS as u64;
+        assert_eq!(probe(0, "pi{B}(S)"), full, "view 0 reuses its context");
+        assert_eq!(probe(super::MAX_CONTEXTS, "pi{A}(S)"), full + 1);
+        assert_eq!(probe(0, "S"), full + 1, "view 0 was not retired");
+        assert_eq!(probe(1, "pi{B}(S)"), full + 2, "view 1 was retired");
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   templates, catalog-content-addressed: invariant under catalog
 //!   declaration order and defining-query reordering, keyed by relation
 //!   content (name + scheme);
-//! * [`cache`] — a sharded `RwLock` verdict cache memoizing outcomes
-//!   *with their constructive witnesses*, optionally bounded by a sharded
-//!   LRU-ish eviction policy;
+//! * [`cache`] — the verdict cache memoizing outcomes *with their
+//!   constructive witnesses*: one lock, optionally bounded with exact LRU
+//!   eviction;
+//! * [`lru`] — the exact least-recently-used map behind the verdict
+//!   cache, the engine's context pools and `viewcap serve`'s warm
+//!   catalogs;
 //! * [`workload`] / [`engine`] — batches of labeled checks, deduplicated
 //!   by fingerprint and executed across `std::thread::scope` workers with
 //!   deterministic, submission-ordered reassembly;
@@ -79,6 +82,7 @@ pub mod config;
 pub mod delta;
 pub mod engine;
 pub mod fingerprint;
+pub mod lru;
 pub mod persist;
 pub mod pilestore;
 pub mod spacestore;
@@ -93,6 +97,7 @@ pub use fingerprint::{
     ordered_view_fingerprint, query_fingerprint, view_fingerprint, view_query_fingerprints,
     Fingerprint,
 };
+pub use lru::Lru;
 pub use persist::{
     compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, validate_cache_bytes,
     CompactReport, ImportTables, MergeReport, PersistError,

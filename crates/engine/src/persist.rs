@@ -724,10 +724,10 @@ fn parse_cache(bytes: &[u8]) -> Result<ParsedCache, PersistError> {
 /// Deserialize a cache from bytes into a cache bounded by `max_entries`
 /// (`None` = unbounded). If the saved cache is larger than the bound, only
 /// the final `max_entries` entries are kept: the excess is decoded (the
-/// whole payload is still integrity-checked) but never inserted, avoiding
-/// one full eviction scan per surplus entry. Stamps do not persist, so no
-/// entry is more deserving than another; skipping the front of the sorted
-/// stream is as good as any policy and keeps loading linear.
+/// whole payload is still integrity-checked) but never inserted, so
+/// loading counts no evictions. Recency does not persist, so no entry is
+/// more deserving than another; skipping the front of the sorted stream is
+/// as good as any policy.
 ///
 /// Loaded entries are `foreign` (witnesses in file-local id space); the
 /// engine translates them on first hit. Use against any catalog declaring

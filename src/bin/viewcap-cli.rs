@@ -37,7 +37,7 @@
 //! and space keys are catalog-content-addressed: a pile serves every
 //! scenario declaring the same relations (same names and schemes), in
 //! *any* declaration order. `--cache-max N` bounds the verdict cache to
-//! `N` verdicts with LRU-ish eviction (`0` = unbounded).
+//! `N` verdicts with exact LRU eviction (`0` = unbounded).
 //!
 //! The `pile` subcommands maintain piles: `pile import <in...> --pile P`
 //! folds legacy `.vcapcache` and `.vcapspaces` files in (told apart by

@@ -5,9 +5,11 @@
 //! One process hosts many catalogs: scenarios declare their own catalogs,
 //! and warm verdict caches are keyed by a *client-supplied* catalog key,
 //! so independent fleets share one resident service. The only state the
-//! daemon shares across requests is the per-key [`VerdictCache`] (safe:
-//! fingerprints are catalog-content-addressed); engines — whose context
-//! pools hold catalog-bound ids — are built per request.
+//! daemon shares across requests is the per-key [`VerdictCache`] and
+//! space library (safe: fingerprints are catalog-content-addressed);
+//! engines — whose context pools hold catalog-bound ids — are built per
+//! request. At most [`MAX_WARM_KEYS`] keys stay warm: past that, the
+//! least-recently-used key is dropped, and its next request reloads it.
 //!
 //! ## Protocol
 //!
@@ -48,7 +50,6 @@
 //! back to the pile, so even a daemon restart skips the cold-start
 //! enumeration. `cold` requests get no shared state of any kind.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -57,7 +58,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::scenario::{run_scenario_with_engine, ScenarioOptions};
-use viewcap_engine::{Engine, EngineConfig, PileStore, SpaceLibrary, VerdictCache};
+use viewcap_engine::{
+    effective_jobs, Engine, EngineConfig, Lru, PileStore, SpaceLibrary, VerdictCache,
+};
 
 /// Longest header line either side reads, newline included. A `RUN`
 /// header is a few dozen bytes plus the warm key.
@@ -72,6 +75,11 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// this bounds how long a stalled client — a header without its newline,
 /// a body shorter than its `<len>` — holds up every client behind it.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most warm catalog keys the daemon keeps. Each holds a full load of the
+/// pile's verdict set and space library, so without a bound a client
+/// naming fresh keys grows the daemon without limit.
+pub const MAX_WARM_KEYS: usize = 16;
 
 /// Read one header line, newline stripped. `Ok(None)` when the line runs
 /// past [`MAX_HEADER_BYTES`] without ending.
@@ -132,63 +140,55 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Shared daemon state: warm caches and the (optional) pile handle.
+/// One warm catalog key's state: its verdict cache and space library.
+/// Both are seeded from the pile on first use; every warm request's grown
+/// spaces are harvested back, so a restarted daemon skips the enumeration
+/// rebuild, not just the verdict recompute.
+#[derive(Clone)]
+struct Warm {
+    cache: Arc<VerdictCache>,
+    spaces: Arc<Mutex<SpaceLibrary>>,
+}
+
+/// Shared daemon state: warm catalogs and the (optional) pile handle.
 struct Daemon {
-    /// Warm verdict caches, one per client-supplied catalog key.
-    warm: Mutex<HashMap<String, Arc<VerdictCache>>>,
-    /// Warm candidate-space libraries, one per client-supplied catalog
-    /// key. Like the caches they are seeded from the pile (its space
-    /// records) on first use, and every warm request's grown spaces are
-    /// harvested back — so a restarted daemon skips the enumeration
-    /// rebuild, not just the verdict recompute.
-    spaces: Mutex<HashMap<String, Arc<Mutex<SpaceLibrary>>>>,
+    /// Warm state per client-supplied catalog key, at most
+    /// [`MAX_WARM_KEYS`] of them.
+    warm: Mutex<Lru<String, Warm>>,
     pile: Option<Mutex<PileStore>>,
     cache_max: Option<usize>,
     served: Mutex<u64>,
 }
 
 impl Daemon {
-    /// The warm cache for `key`, created on first use — seeded from the
-    /// pile's merged verdict set when a pile is configured.
-    fn warm_cache(&self, key: &str) -> Result<Arc<VerdictCache>, ServeError> {
-        let mut warm = self.warm.lock().expect("warm cache lock");
-        if let Some(cache) = warm.get(key) {
-            return Ok(Arc::clone(cache));
+    /// The warm state for `key`, created on first use — seeded from the
+    /// pile when a pile is configured. A pile whose space records fail to
+    /// load seeds an empty library instead of failing the request:
+    /// hydration is an optimization, never correctness.
+    fn warm(&self, key: &str) -> Result<Warm, ServeError> {
+        let mut warm = self.warm.lock().expect("warm lock");
+        if let Some(state) = warm.get(key) {
+            return Ok(state.clone());
         }
-        let cache = match &self.pile {
-            Some(pile) => pile
-                .lock()
-                .expect("pile lock")
-                .load(self.cache_max)
-                .map_err(|e| ServeError::Pile(e.to_string()))?,
-            None => VerdictCache::bounded(self.cache_max),
+        let (cache, spaces) = match &self.pile {
+            Some(pile) => {
+                let mut pile = pile.lock().expect("pile lock");
+                let cache = pile
+                    .load(self.cache_max)
+                    .map_err(|e| ServeError::Pile(e.to_string()))?;
+                (cache, pile.load_spaces().unwrap_or_default())
+            }
+            None => (VerdictCache::bounded(self.cache_max), SpaceLibrary::new()),
         };
-        let cache = Arc::new(cache);
-        warm.insert(key.to_owned(), Arc::clone(&cache));
-        Ok(cache)
-    }
-
-    /// The warm space library for `key`, created on first use — seeded
-    /// from the pile's space records when a pile is configured. A pile
-    /// whose space records fail to load seeds an empty library instead of
-    /// failing the request: hydration is an optimization, never
-    /// correctness.
-    fn warm_spaces(&self, key: &str) -> Arc<Mutex<SpaceLibrary>> {
-        let mut spaces = self.spaces.lock().expect("warm spaces lock");
-        if let Some(library) = spaces.get(key) {
-            return Arc::clone(library);
+        let state = Warm {
+            cache: Arc::new(cache),
+            spaces: Arc::new(Mutex::new(spaces)),
+        };
+        warm.insert(key.to_owned(), state.clone());
+        while warm.len() > MAX_WARM_KEYS {
+            warm.pop_lru();
         }
-        let library = match &self.pile {
-            Some(pile) => pile
-                .lock()
-                .expect("pile lock")
-                .load_spaces()
-                .unwrap_or_default(),
-            None => SpaceLibrary::new(),
-        };
-        let library = Arc::new(Mutex::new(library));
-        spaces.insert(key.to_owned(), Arc::clone(&library));
-        library
+        Ok(state)
     }
 
     /// Answer one `RUN`: build the request's engine, run the scenario,
@@ -197,17 +197,21 @@ impl Daemon {
     fn run(&self, source: &str, jobs: usize, warm_key: Option<&str>) -> Result<String, String> {
         let engine = match warm_key {
             Some(key) => {
-                let cache = self.warm_cache(key).map_err(|e| e.to_string())?;
+                let Warm { cache, spaces } = self.warm(key).map_err(|e| e.to_string())?;
                 Engine::from_config(
                     EngineConfig::new()
                         .shared_cache(cache)
-                        .shared_spaces(self.warm_spaces(key)),
+                        .shared_spaces(spaces),
                 )
                 .map_err(|e| e.to_string())?
             }
             None => Engine::new(),
         };
-        let options = ScenarioOptions { jobs };
+        // `jobs` comes off the wire; transcripts are `--jobs`-invariant,
+        // so clamping it to the host's cores only caps the thread count.
+        let options = ScenarioOptions {
+            jobs: jobs.min(effective_jobs(0)),
+        };
         let outcome =
             run_scenario_with_engine(source, &options, &engine).map_err(|e| e.to_string())?;
         // Fold the request's grown candidate spaces back into the warm
@@ -228,7 +232,7 @@ impl Daemon {
     }
 
     fn stats(&self) -> String {
-        let warm = self.warm.lock().expect("warm cache lock");
+        let warm = self.warm.lock().expect("warm lock");
         let mut body = format!(
             "served: {}\nwarm catalogs: {}\n",
             self.served.lock().expect("served lock"),
@@ -236,14 +240,11 @@ impl Daemon {
         );
         let mut keys: Vec<_> = warm.iter().collect();
         keys.sort_by_key(|(key, _)| key.as_str());
-        for (key, cache) in keys {
-            body.push_str(&format!("warm[{key}]: {}\n", cache.stats()));
+        for (key, state) in &keys {
+            body.push_str(&format!("warm[{key}]: {}\n", state.cache.stats()));
         }
-        let spaces = self.spaces.lock().expect("warm spaces lock");
-        let mut space_keys: Vec<_> = spaces.iter().collect();
-        space_keys.sort_by_key(|(key, _)| key.as_str());
-        for (key, library) in space_keys {
-            let library = library.lock().expect("space library lock");
+        for (key, state) in &keys {
+            let library = state.spaces.lock().expect("space library lock");
             body.push_str(&format!("spaces[{key}]: {} space(s)\n", library.len()));
         }
         if let Some(pile) = &self.pile {
@@ -283,8 +284,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
         None => None,
     };
     let daemon = Daemon {
-        warm: Mutex::new(HashMap::new()),
-        spaces: Mutex::new(HashMap::new()),
+        warm: Mutex::default(),
         pile,
         cache_max: config.cache_max,
         served: Mutex::new(0),

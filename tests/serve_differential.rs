@@ -251,3 +251,65 @@ fn daemon_rejects_malformed_requests_without_dying() {
     let ran = request(&format!("RUN 1 cold {}\n{scenario}", scenario.len()));
     assert!(ran.starts_with("OK "), "RUN after stalled clients: {ran:?}");
 }
+
+/// Send one raw request and read the daemon's whole response.
+fn raw_request(socket: &Path, request: &str) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+#[test]
+fn warm_keys_are_bounded() {
+    let dir = scratch();
+    let socket = dir.join("warm-bound.sock");
+    let pile = dir.join("warm-bound.vcappile");
+    let _ = std::fs::remove_file(&pile);
+    let _daemon = start_daemon(&socket, &pile);
+    let scenario = "rel R(A, B)\nview V {\n  v1 = pi{A}(R)\n}\ncheck member V pi{A}(R)\n";
+    let run = |key: usize| {
+        raw_request(
+            &socket,
+            &format!("RUN 1 warm:k{key} {}\n{scenario}", scenario.len()),
+        )
+    };
+    let max = viewcap::serve::MAX_WARM_KEYS;
+    for key in 0..=max {
+        let response = run(key);
+        assert!(response.starts_with("OK "), "key {key}: {response:?}");
+    }
+    let stats = raw_request(&socket, "STATS\n");
+    assert!(
+        stats.contains(&format!("warm catalogs: {max}\n")),
+        "stats:\n{stats}"
+    );
+    assert!(!stats.contains("warm[k0]:"), "k0 was least recently used");
+    let again = run(0);
+    assert!(again.starts_with("OK "), "retired key answers: {again:?}");
+    assert!(
+        again.contains("check member V pi{A}(R): YES via v1"),
+        "{again}"
+    );
+}
+
+#[test]
+fn run_clamps_its_worker_count() {
+    let dir = scratch();
+    let socket = dir.join("jobs.sock");
+    let _daemon = start_daemon(&socket, &dir.join("jobs.vcappile"));
+    let path = scenario_path("batch_workload");
+    let scenario = std::fs::read_to_string(&path).unwrap();
+    let direct = run_cli(&["--jobs", "1"], &[&path]);
+    assert_ok(&direct, "batch_workload --jobs 1");
+    let response = raw_request(
+        &socket,
+        &format!("RUN 4294967295 cold {}\n{scenario}", scenario.len()),
+    );
+    let body = response
+        .strip_prefix(&format!("OK {}\n", direct.stdout.len()))
+        .unwrap_or_else(|| panic!("unexpected response {response:?}"));
+    assert_eq!(body.as_bytes(), direct.stdout);
+}
