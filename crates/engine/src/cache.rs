@@ -39,7 +39,8 @@ static CACHE_MISS: obs::Counter = obs::Counter::new("engine.cache.miss");
 static CACHE_EVICT: obs::Counter = obs::Counter::new("engine.cache.eviction");
 
 /// Cache key: procedure plus the canonical fingerprints of its operands.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// Ordered by `(kind, left, right)`, the order cache files list entries in.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CacheKey {
     /// Which procedure.
     pub kind: CheckKind,
@@ -48,20 +49,6 @@ pub struct CacheKey {
     pub left: Fingerprint,
     /// Right operand (the goal query; the dominated view; the larger side).
     pub right: Fingerprint,
-}
-
-impl CacheKey {
-    /// Total order used for deterministic persistence output.
-    pub(crate) fn sort_key(&self) -> (u8, u128, u128) {
-        let kind = match self.kind {
-            CheckKind::Member => 0u8,
-            CheckKind::Dominates => 1,
-            CheckKind::Equivalent => 2,
-            CheckKind::Simplify => 3,
-            CheckKind::Nonredundant => 4,
-        };
-        (kind, self.left.as_u128(), self.right.as_u128())
-    }
 }
 
 /// A cached verdict plus the positional fingerprint table of the view that
@@ -216,7 +203,7 @@ impl VerdictCache {
             .iter()
             .map(|(key, entry)| (*key, entry.clone()))
             .collect();
-        out.sort_unstable_by_key(|(k, _)| k.sort_key());
+        out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 

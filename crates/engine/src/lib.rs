@@ -100,9 +100,10 @@ pub use fingerprint::{
 pub use lru::Lru;
 pub use persist::{
     compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, validate_cache_bytes,
-    CompactReport, ImportTables, MergeReport, PersistError,
+    CompactReport, ImportTables, MergeReport, CACHE_FORMAT,
 };
 pub use pilestore::{PileStore, PileStoreError, CACHE_RECORD_KIND, SPACE_RECORD_KIND};
-pub use spacestore::{SpaceLibrary, SpaceStoreError, SPACE_LIB_MAGIC, SPACE_LIB_VERSION};
+pub use spacestore::{SpaceLibrary, SPACE_LIB_FORMAT};
 pub use verdict::{CheckKind, Verdict};
+pub use viewcap_template::CodecError;
 pub use workload::{Check, Request, Workload};

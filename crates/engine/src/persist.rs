@@ -13,36 +13,26 @@
 //! `foreign`); the engine translates them into the live catalog on first
 //! hit via [`translate_entry`].
 //!
-//! ## Format (version 2)
+//! ## Payload (version 2, inside the [`codec`] frame, magic `VCAPCACH`)
 //!
 //! ```text
-//! magic      8  bytes  b"VCAPCACH"
-//! version    u32 LE
-//! checksum   u64 LE    FNV-1a over the payload bytes
-//! payload:
-//!   attr_table  u32 count, then per attribute: u32 len + UTF-8 bytes
-//!   rel_table   u32 count, then per relation:  u32 len + UTF-8 bytes
-//!   entry_count u64 LE
-//!   entries, sorted by (kind, left, right):
-//!     key        kind u8, left u128 LE, right u128 LE
-//!     fps        u32 count, u128 LE each    (left_query_fps)
-//!     verdict    tag u8, then the witness when the answer was YES
+//! attr_table, rel_table   codec name tables
+//! entry_count             u64
+//! entries, sorted by (kind, left, right):
+//!   key      kind u8 (3 simplify, 4 nonredundant), left u128, right u128
+//!   fps      u32 count, one u128 each (left_query_fps)
+//!   verdict  tag u8, then the witness of a YES; tag 6 a scheme list (the
+//!            simplified TRSs), tag 7 a u32 list (kept pair indices)
+//! proof      u32 λ count, one u32 query index per λ; expr; two templates
+//! expr       tag u8: 0 rel ref | 1 child, scheme | 2 u32 n, n children
+//! scheme     u32 count, attr refs;  template: codec tagged-tuple rows
 //! ```
 //!
-//! Normalization verdicts ride the same stream: kind bytes 3 (`simplify`)
-//! and 4 (`nonredundant`), verdict tags 6 (a scheme list — the simplified
-//! equivalent's TRSs) and 7 (a `u32` list — kept pair indices).
-//!
-//! Witness encoding: attribute references are attr-table indexes; relation
-//! references are rel-table indexes, except scratch `λᵢ` references, which
-//! set the high bit ([`LAMBDA_BIT`]) and carry the λ's position in its
-//! proof's λ list. Each proof stores its λ list first (one query index per
-//! λ), so λ references validate against a known count. Everything is
-//! integers and length-prefixed strings; loading is strictly
-//! bounds-checked and returns [`PersistError`] — never panics — on
-//! truncation, corruption (checksum), version skew, or structurally
-//! invalid witnesses ([`Template::new`] re-validates template invariants
-//! on the way in).
+//! A relation reference is a rel-table index, or — for a scratch `λᵢ` —
+//! its position in the proof's λ list with [`LAMBDA_BIT`] set, so λ
+//! references validate against a known count. Loading returns a
+//! [`CodecError`], never a panic; [`Template::new`] re-validates template
+//! invariants on the way in.
 //!
 //! ## Fleet operations
 //!
@@ -58,13 +48,19 @@
 use crate::cache::{CacheKey, Entry, VerdictCache};
 use crate::fingerprint::Fingerprint;
 use crate::verdict::{CheckKind, Verdict};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
-use viewcap_base::{fnv1a64, AttrId, Catalog, RelId, Scheme, Symbol};
+use viewcap_base::{AttrId, Catalog, RelId, Scheme, Symbol};
 use viewcap_core::capacity::ClosureProof;
 use viewcap_core::equivalence::{DominanceWitness, EquivalenceWitness};
+use viewcap_expr::Expr;
 use viewcap_obs as obs;
+use viewcap_template::codec::{
+    self, put_template, put_u128, put_u32, put_u64, CodecError, Format, Interner, Reader,
+    MAX_EXPR_DEPTH,
+};
+use viewcap_template::{TaggedTuple, Template};
 
 /// Bytes serialized out of / parsed into the verdict cache (telemetry;
 /// live only while enabled). Spans cover the (de)serialization work.
@@ -74,13 +70,13 @@ static SAVE_SPAN: obs::SpanDef =
     obs::SpanDef::new("engine.cache.save", "cache", "span.engine.cache.save");
 static LOAD_SPAN: obs::SpanDef =
     obs::SpanDef::new("engine.cache.load", "cache", "span.engine.cache.load");
-use viewcap_expr::Expr;
-use viewcap_template::{TaggedTuple, Template};
 
-/// Leading magic of every cache file.
-pub const MAGIC: &[u8; 8] = b"VCAPCACH";
-/// Current format version.
-pub const FORMAT_VERSION: u32 = 2;
+/// The cache format's frame.
+pub const CACHE_FORMAT: Format = Format {
+    magic: b"VCAPCACH",
+    version: 2,
+    label: "cache file",
+};
 /// High bit marking a relation reference as a scratch `λ` position. The
 /// same bit marks the synthetic in-memory `RelId`s of loaded witnesses:
 /// they exist in no catalog, are only ever compared against each other
@@ -100,54 +96,6 @@ pub struct ImportTables {
     pub rels: Vec<String>,
 }
 
-/// Why a cache file was rejected.
-#[derive(Debug)]
-pub enum PersistError {
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's version is not [`FORMAT_VERSION`].
-    VersionMismatch {
-        /// Version found in the file.
-        found: u32,
-        /// Version this build reads.
-        expected: u32,
-    },
-    /// The payload checksum does not match.
-    ChecksumMismatch,
-    /// Structurally invalid data (truncation, bad tags, bad invariants).
-    Corrupt(String),
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::BadMagic => write!(f, "not a viewcap cache file (bad magic)"),
-            PersistError::VersionMismatch { found, expected } => {
-                write!(
-                    f,
-                    "cache file version {found} is not the supported version {expected}"
-                )?;
-                if *found < *expected {
-                    write!(
-                        f,
-                        " (caches up to version 1 were keyed by catalog declaration \
-                         order and cannot be migrated in place: delete the file and \
-                         re-run to regenerate it as a content-addressed version-\
-                         {expected} cache)"
-                    )?;
-                }
-                Ok(())
-            }
-            PersistError::ChecksumMismatch => {
-                write!(f, "cache file checksum mismatch (corrupted file)")
-            }
-            PersistError::Corrupt(what) => write!(f, "corrupt cache file: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
 // ---------------------------------------------------------------- writing
 
 /// Where an entry's ids resolve to names: a live catalog (native entries)
@@ -159,15 +107,15 @@ enum NameSource<'a> {
     Tables(&'a ImportTables),
 }
 
-impl NameSource<'_> {
-    fn attr_name(&self, a: AttrId) -> Option<&str> {
+impl<'a> NameSource<'a> {
+    fn attr_name(self, a: AttrId) -> Option<&'a str> {
         match self {
             NameSource::Catalog(cat) => (a.index() < cat.attr_count()).then(|| cat.attr_name(a)),
             NameSource::Tables(t) => t.attrs.get(a.index()).map(String::as_str),
         }
     }
 
-    fn rel_name(&self, r: RelId) -> Option<&str> {
+    fn rel_name(self, r: RelId) -> Option<&'a str> {
         match self {
             NameSource::Catalog(cat) => (r.index() < cat.rel_count()).then(|| cat.rel_name(r)),
             NameSource::Tables(t) => t.rels.get(r.index()).map(String::as_str),
@@ -175,86 +123,49 @@ impl NameSource<'_> {
     }
 }
 
-/// Interner assigning file-local indexes to names, first encounter first.
-#[derive(Default)]
-struct TableBuilder {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl TableBuilder {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), i);
-        i
-    }
-}
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Encoder for one entry: resolves ids to names via `names`, interning
 /// them into the shared output tables. Any unresolvable id aborts the
-/// entry (`None`), leaving the output buffer for this entry unused.
-struct EntryWriter<'a> {
-    buf: Vec<u8>,
-    attrs: &'a mut TableBuilder,
-    rels: &'a mut TableBuilder,
+/// entry (`None`).
+struct EntryWriter<'w, 'a> {
+    out: &'w mut Vec<u8>,
+    attrs: &'w mut Interner<'a>,
+    rels: &'w mut Interner<'a>,
     names: NameSource<'a>,
     /// λ → position for the proof currently being encoded.
     lambda: HashMap<RelId, u32>,
 }
 
-impl EntryWriter<'_> {
-    fn attr_ref(&mut self, a: AttrId) -> Option<()> {
-        let name = self.names.attr_name(a)?;
-        let i = self.attrs.intern(name);
-        put_u32(&mut self.buf, i);
-        Some(())
+/// A relation reference: the λ position with [`LAMBDA_BIT`] set, or the
+/// interned rel-table index.
+fn rel_ref<'a>(
+    lambda: &HashMap<RelId, u32>,
+    names: NameSource<'a>,
+    rels: &mut Interner<'a>,
+    r: RelId,
+) -> Option<u32> {
+    if let Some(&pos) = lambda.get(&r) {
+        return Some(LAMBDA_BIT | pos);
     }
+    let i = rels.intern(names.rel_name(r)?);
+    (i & LAMBDA_BIT == 0).then_some(i) // 2^31 relation names: not a real catalog
+}
 
-    fn rel_ref(&mut self, r: RelId) -> Option<()> {
-        if let Some(&pos) = self.lambda.get(&r) {
-            put_u32(&mut self.buf, LAMBDA_BIT | pos);
-            return Some(());
-        }
-        let name = self.names.rel_name(r)?;
-        let i = self.rels.intern(name);
-        if i & LAMBDA_BIT != 0 {
-            return None; // 2^31 relation names: not a real catalog
-        }
-        put_u32(&mut self.buf, i);
-        Some(())
-    }
-
+impl EntryWriter<'_, '_> {
     fn expr(&mut self, e: &Expr) -> Option<()> {
         match e {
             Expr::Rel(r) => {
-                put_u8(&mut self.buf, 0);
-                self.rel_ref(*r)?;
+                self.out.push(0);
+                let i = rel_ref(&self.lambda, self.names, self.rels, *r)?;
+                put_u32(self.out, i);
             }
             Expr::Project(child, scheme) => {
-                put_u8(&mut self.buf, 1);
+                self.out.push(1);
                 self.expr(child)?;
                 self.scheme(scheme)?;
             }
             Expr::Join(children) => {
-                put_u8(&mut self.buf, 2);
-                put_u32(&mut self.buf, children.len() as u32);
+                self.out.push(2);
+                put_u32(self.out, children.len() as u32);
                 for c in children {
                     self.expr(c)?;
                 }
@@ -264,37 +175,33 @@ impl EntryWriter<'_> {
     }
 
     fn scheme(&mut self, s: &Scheme) -> Option<()> {
-        put_u32(&mut self.buf, s.len() as u32);
+        put_u32(self.out, s.len() as u32);
         for a in s.iter() {
-            self.attr_ref(a)?;
+            put_u32(self.out, self.attrs.intern(self.names.attr_name(a)?));
         }
         Some(())
     }
 
     fn template(&mut self, t: &Template) -> Option<()> {
-        put_u32(&mut self.buf, t.len() as u32);
-        for tuple in t.tuples() {
-            self.rel_ref(tuple.rel())?;
-            put_u32(&mut self.buf, tuple.row().len() as u32);
-            for sym in tuple.row() {
-                self.attr_ref(sym.attr())?;
-                put_u32(&mut self.buf, sym.ord());
-            }
-        }
-        Some(())
+        let (lambda, names, rels, attrs) =
+            (&self.lambda, self.names, &mut *self.rels, &mut *self.attrs);
+        put_template(
+            self.out,
+            t,
+            |r| rel_ref(lambda, names, rels, r),
+            |a| Some(attrs.intern(names.attr_name(a)?)),
+        )
     }
 
     fn proof(&mut self, p: &ClosureProof) -> Option<()> {
         // λ list first, so references below validate against its length.
-        self.lambda = p
-            .lambda_queries
-            .iter()
-            .enumerate()
-            .map(|(pos, &(lam, _))| (lam, pos as u32))
+        self.lambda = (0..)
+            .zip(&p.lambda_queries)
+            .map(|(pos, &(lam, _))| (lam, pos))
             .collect();
-        put_u32(&mut self.buf, p.lambda_queries.len() as u32);
+        put_u32(self.out, p.lambda_queries.len() as u32);
         for &(_, idx) in &p.lambda_queries {
-            put_u32(&mut self.buf, idx as u32);
+            put_u32(self.out, idx as u32);
         }
         self.expr(&p.skeleton)?;
         self.template(&p.skeleton_template)?;
@@ -304,7 +211,7 @@ impl EntryWriter<'_> {
     }
 
     fn dominance(&mut self, w: &DominanceWitness) -> Option<()> {
-        put_u32(&mut self.buf, w.proofs.len() as u32);
+        put_u32(self.out, w.proofs.len() as u32);
         for p in &w.proofs {
             self.proof(p)?;
         }
@@ -313,34 +220,34 @@ impl EntryWriter<'_> {
 
     fn verdict(&mut self, v: &Verdict) -> Option<()> {
         match v {
-            Verdict::Member(None) => put_u8(&mut self.buf, 0),
+            Verdict::Member(None) => self.out.push(0),
             Verdict::Member(Some(p)) => {
-                put_u8(&mut self.buf, 1);
+                self.out.push(1);
                 self.proof(p)?;
             }
-            Verdict::Dominates(None) => put_u8(&mut self.buf, 2),
+            Verdict::Dominates(None) => self.out.push(2),
             Verdict::Dominates(Some(w)) => {
-                put_u8(&mut self.buf, 3);
+                self.out.push(3);
                 self.dominance(w)?;
             }
-            Verdict::Equivalent(None) => put_u8(&mut self.buf, 4),
+            Verdict::Equivalent(None) => self.out.push(4),
             Verdict::Equivalent(Some(w)) => {
-                put_u8(&mut self.buf, 5);
+                self.out.push(5);
                 self.dominance(&w.v_dominates_w)?;
                 self.dominance(&w.w_dominates_v)?;
             }
             Verdict::Simplified(schemes) => {
-                put_u8(&mut self.buf, 6);
-                put_u32(&mut self.buf, schemes.len() as u32);
+                self.out.push(6);
+                put_u32(self.out, schemes.len() as u32);
                 for s in schemes {
                     self.scheme(s)?;
                 }
             }
             Verdict::Nonredundant(kept) => {
-                put_u8(&mut self.buf, 7);
-                put_u32(&mut self.buf, kept.len() as u32);
+                self.out.push(7);
+                put_u32(self.out, kept.len() as u32);
                 for &i in kept {
-                    put_u32(&mut self.buf, i);
+                    put_u32(self.out, i);
                 }
             }
         }
@@ -348,45 +255,46 @@ impl EntryWriter<'_> {
     }
 
     fn entry(&mut self, key: &CacheKey, entry: &Entry) -> Option<()> {
-        put_u8(
-            &mut self.buf,
-            match key.kind {
-                CheckKind::Member => 0,
-                CheckKind::Dominates => 1,
-                CheckKind::Equivalent => 2,
-                CheckKind::Simplify => 3,
-                CheckKind::Nonredundant => 4,
-            },
-        );
-        put_u128(&mut self.buf, key.left.as_u128());
-        put_u128(&mut self.buf, key.right.as_u128());
-        put_u32(&mut self.buf, entry.left_query_fps.len() as u32);
+        self.out.push(key.kind.byte());
+        put_u128(self.out, key.left.as_u128());
+        put_u128(self.out, key.right.as_u128());
+        put_u32(self.out, entry.left_query_fps.len() as u32);
         for fp in entry.left_query_fps.iter() {
-            put_u128(&mut self.buf, fp.as_u128());
+            put_u128(self.out, fp.as_u128());
         }
         self.verdict(&entry.verdict)
     }
 }
 
-/// Assemble a finished file from the tables and the encoded entry stream.
-fn assemble(attrs: &TableBuilder, rels: &TableBuilder, count: u64, entries: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(entries.len() + 256);
-    for table in [attrs, rels] {
-        put_u32(&mut payload, table.names.len() as u32);
-        for name in &table.names {
-            put_u32(&mut payload, name.len() as u32);
-            payload.extend_from_slice(name.as_bytes());
+/// Encode `entries`, in order, as one cache file, returning it with the
+/// number of entries written. An entry whose ids resolve nowhere is
+/// dropped; names it interned before failing stay in the tables.
+fn encode<'a>(
+    entries: impl Iterator<Item = (&'a CacheKey, &'a Entry, NameSource<'a>)>,
+) -> (Vec<u8>, usize) {
+    let (mut attrs, mut rels) = (Interner::default(), Interner::default());
+    let mut body = Vec::new();
+    let mut count = 0;
+    for (key, entry, names) in entries {
+        let mark = body.len();
+        let mut w = EntryWriter {
+            out: &mut body,
+            attrs: &mut attrs,
+            rels: &mut rels,
+            names,
+            lambda: HashMap::new(),
+        };
+        match w.entry(key, entry) {
+            Some(()) => count += 1,
+            None => body.truncate(mark),
         }
     }
-    put_u64(&mut payload, count);
-    payload.extend_from_slice(entries);
-
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let mut payload = Vec::with_capacity(body.len() + 256);
+    attrs.put_table(&mut payload);
+    rels.put_table(&mut payload);
+    put_u64(&mut payload, count as u64);
+    payload.extend_from_slice(&body);
+    (codec::seal(&CACHE_FORMAT, &payload), count)
 }
 
 /// Serialize a cache to bytes (deterministic: entries sorted by key, table
@@ -402,139 +310,67 @@ fn assemble(attrs: &TableBuilder, rels: &TableBuilder, count: u64, entries: &[u8
 pub fn save_cache(cache: &VerdictCache, catalog: &Catalog) -> Vec<u8> {
     let mut span = SAVE_SPAN.start();
     let snapshot = cache.snapshot();
-    let mut attrs = TableBuilder::default();
-    let mut rels = TableBuilder::default();
-    let mut entries = Vec::new();
-    let mut count = 0u64;
-    for (key, entry) in &snapshot {
-        let names = if entry.foreign {
-            match cache.import_tables() {
-                Some(tables) => NameSource::Tables(tables),
-                None => continue, // foreign entries always come with tables
-            }
-        } else {
-            NameSource::Catalog(catalog)
+    let tables = cache.import_tables();
+    let (bytes, count) = encode(snapshot.iter().filter_map(|(key, entry)| {
+        let names = match (entry.foreign, tables) {
+            (false, _) => NameSource::Catalog(catalog),
+            (true, Some(tables)) => NameSource::Tables(tables),
+            (true, None) => return None, // foreign entries always come with tables
         };
-        let mut w = EntryWriter {
-            buf: Vec::new(),
-            attrs: &mut attrs,
-            rels: &mut rels,
-            names,
-            lambda: HashMap::new(),
-        };
-        if w.entry(key, entry).is_some() {
-            entries.extend_from_slice(&w.buf);
-            count += 1;
-        }
-    }
-    let bytes = assemble(&attrs, &rels, count, &entries);
+        Some((key, entry, names))
+    }));
     span.arg("bytes", bytes.len() as u64);
-    span.arg("entries", count);
+    span.arg("entries", count as u64);
     PERSIST_OUT.add(bytes.len() as u64);
     bytes
 }
 
 // ---------------------------------------------------------------- reading
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reference bounds: one file's table sizes, and the λ count of the proof
+/// being read.
+#[derive(Clone, Copy)]
+struct Bounds {
+    attrs: usize,
+    rels: usize,
+    lambdas: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn corrupt<T>(what: &str) -> Result<T, PersistError> {
-        Err(PersistError::Corrupt(what.to_owned()))
+impl Bounds {
+    /// An attr-table index, surfaced as a file-local [`AttrId`].
+    fn attr(self, i: u32) -> Option<AttrId> {
+        ((i as usize) < self.attrs).then_some(AttrId(i))
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.bytes.len() - self.pos < n {
-            return Reader::corrupt("unexpected end of payload");
+    /// A rel-table index (file-local [`RelId`]) or a λ position (high bit
+    /// kept).
+    fn rel(self, i: u32) -> Option<RelId> {
+        let ok = match i & LAMBDA_BIT {
+            0 => (i as usize) < self.rels,
+            _ => ((i & !LAMBDA_BIT) as usize) < self.lambdas,
+        };
+        ok.then_some(RelId(i))
+    }
+}
+
+struct EntryReader<'a> {
+    r: Reader<'a>,
+    b: Bounds,
+}
+
+impl EntryReader<'_> {
+    fn expr(&mut self, depth: usize) -> Result<Expr, CodecError> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(self.r.corrupt("expression nesting too deep"));
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn u128(&mut self) -> Result<u128, PersistError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    /// A count that must be realizable within the remaining payload
-    /// (`min_bytes` per element) — rejects absurd lengths before allocating.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, PersistError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_bytes) > self.bytes.len() - self.pos {
-            return Reader::corrupt("length prefix exceeds payload");
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, PersistError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| PersistError::Corrupt("table name is not UTF-8".to_owned()))
-    }
-
-    fn table(&mut self) -> Result<Vec<String>, PersistError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.string()).collect()
-    }
-
-    /// An attribute reference: a validated attr-table index, surfaced as a
-    /// file-local [`AttrId`].
-    fn attr_ref(&mut self, attrs: usize) -> Result<AttrId, PersistError> {
-        let i = self.u32()?;
-        if (i as usize) < attrs {
-            Ok(AttrId(i))
-        } else {
-            Reader::corrupt("attribute reference beyond table")
-        }
-    }
-
-    /// A relation reference: a validated rel-table index (file-local
-    /// [`RelId`]) or a λ position (high bit kept).
-    fn rel_ref(&mut self, rels: usize, lambdas: usize) -> Result<RelId, PersistError> {
-        let i = self.u32()?;
-        if i & LAMBDA_BIT != 0 {
-            if ((i & !LAMBDA_BIT) as usize) < lambdas {
-                Ok(RelId(i))
-            } else {
-                Reader::corrupt("lambda reference beyond the proof's lambda list")
-            }
-        } else if (i as usize) < rels {
-            Ok(RelId(i))
-        } else {
-            Reader::corrupt("relation reference beyond table")
-        }
-    }
-
-    fn expr(
-        &mut self,
-        depth: usize,
-        attrs: usize,
-        rels: usize,
-        lambdas: usize,
-    ) -> Result<Expr, PersistError> {
-        if depth > 64 {
-            return Reader::corrupt("expression nesting too deep");
-        }
-        match self.u8()? {
-            0 => Ok(Expr::Rel(self.rel_ref(rels, lambdas)?)),
+        let b = self.b;
+        match self.r.u8()? {
+            0 => Ok(Expr::Rel(self.r.lookup(|i| b.rel(i))?)),
             1 => {
-                let child = self.expr(depth + 1, attrs, rels, lambdas)?;
-                let scheme = self.scheme(attrs)?;
+                let child = self.expr(depth + 1)?;
+                let scheme = self.scheme()?;
                 if scheme.is_empty() {
-                    return Reader::corrupt("empty projection scheme");
+                    return Err(self.r.corrupt("empty projection scheme"));
                 }
                 // Direct construction: the validating `Expr::project` needs
                 // a catalog that knows the scratch λ names, which no loader
@@ -542,183 +378,138 @@ impl<'a> Reader<'a> {
                 Ok(Expr::Project(Box::new(child), scheme))
             }
             2 => {
-                let n = self.count(2)?;
+                let n = self.r.count(2)?;
                 if n < 2 {
-                    return Reader::corrupt("join with fewer than two operands");
+                    return Err(self.r.corrupt("join with fewer than two operands"));
                 }
                 let children = (0..n)
-                    .map(|_| self.expr(depth + 1, attrs, rels, lambdas))
+                    .map(|_| self.expr(depth + 1))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Expr::Join(children))
             }
-            _ => Reader::corrupt("unknown expression tag"),
+            _ => Err(self.r.corrupt("unknown expression tag")),
         }
     }
 
-    fn scheme(&mut self, attrs: usize) -> Result<Scheme, PersistError> {
-        let n = self.count(4)?;
+    fn scheme(&mut self) -> Result<Scheme, CodecError> {
+        let (n, b) = (self.r.count(4)?, self.b);
         let ids = (0..n)
-            .map(|_| self.attr_ref(attrs))
+            .map(|_| self.r.lookup(|i| b.attr(i)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Scheme::collect(ids))
     }
 
-    fn template(
-        &mut self,
-        attrs: usize,
-        rels: usize,
-        lambdas: usize,
-    ) -> Result<Template, PersistError> {
-        let n = self.count(8)?;
-        let mut tuples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rel = self.rel_ref(rels, lambdas)?;
-            let width = self.count(8)?;
-            let row = (0..width)
-                .map(|_| {
-                    let attr = self.attr_ref(attrs)?;
-                    let ord = self.u32()?;
-                    Ok(Symbol::new(attr, ord))
-                })
-                .collect::<Result<Vec<_>, PersistError>>()?;
-            tuples.push(TaggedTuple::from_raw_parts(rel, row));
-        }
-        Template::new(tuples).map_err(|e| PersistError::Corrupt(format!("invalid template: {e}")))
+    fn template(&mut self) -> Result<Template, CodecError> {
+        let b = self.b;
+        self.r.template(
+            |i| b.rel(i),
+            |i| b.attr(i),
+            |rel, row| Some(TaggedTuple::from_raw_parts(rel, row)),
+        )
     }
 
-    fn proof(&mut self, attrs: usize, rels: usize) -> Result<ClosureProof, PersistError> {
-        let n = self.count(4)?;
+    fn proof(&mut self) -> Result<ClosureProof, CodecError> {
+        let n = self.r.count(4)?;
         let lambda_queries = (0..n)
-            .enumerate()
-            .map(|(pos, _)| Ok((RelId(LAMBDA_BIT | pos as u32), self.u32()? as usize)))
-            .collect::<Result<Vec<_>, PersistError>>()?;
-        let skeleton = self.expr(0, attrs, rels, n)?;
-        let skeleton_template = self.template(attrs, rels, n)?;
-        let substituted = self.template(attrs, rels, n)?;
+            .map(|pos| Ok((RelId(LAMBDA_BIT | pos as u32), self.r.u32()? as usize)))
+            .collect::<Result<Vec<_>, CodecError>>()?;
+        self.b.lambdas = n;
         Ok(ClosureProof {
-            skeleton,
+            skeleton: self.expr(0)?,
             lambda_queries,
-            skeleton_template,
-            substituted,
+            skeleton_template: self.template()?,
+            substituted: self.template()?,
         })
     }
 
-    fn dominance(&mut self, attrs: usize, rels: usize) -> Result<DominanceWitness, PersistError> {
-        let n = self.count(1)?;
+    fn dominance(&mut self) -> Result<DominanceWitness, CodecError> {
+        let n = self.r.count(1)?;
         let proofs = (0..n)
-            .map(|_| self.proof(attrs, rels))
+            .map(|_| self.proof())
             .collect::<Result<Vec<_>, _>>()?;
         Ok(DominanceWitness { proofs })
     }
 
-    fn verdict(&mut self, attrs: usize, rels: usize) -> Result<Verdict, PersistError> {
-        Ok(match self.u8()? {
+    fn verdict(&mut self) -> Result<Verdict, CodecError> {
+        Ok(match self.r.u8()? {
             0 => Verdict::Member(None),
-            1 => Verdict::Member(Some(self.proof(attrs, rels)?)),
+            1 => Verdict::Member(Some(self.proof()?)),
             2 => Verdict::Dominates(None),
-            3 => Verdict::Dominates(Some(self.dominance(attrs, rels)?)),
+            3 => Verdict::Dominates(Some(self.dominance()?)),
             4 => Verdict::Equivalent(None),
             5 => Verdict::Equivalent(Some(EquivalenceWitness {
-                v_dominates_w: self.dominance(attrs, rels)?,
-                w_dominates_v: self.dominance(attrs, rels)?,
+                v_dominates_w: self.dominance()?,
+                w_dominates_v: self.dominance()?,
             })),
             6 => {
-                let n = self.count(4)?;
+                let n = self.r.count(4)?;
                 let schemes = (0..n)
-                    .map(|_| {
-                        let s = self.scheme(attrs)?;
-                        if s.is_empty() {
-                            return Reader::corrupt("empty simplified scheme");
-                        }
-                        Ok(s)
+                    .map(|_| match self.scheme()? {
+                        s if s.is_empty() => Err(self.r.corrupt("empty simplified scheme")),
+                        s => Ok(s),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Verdict::Simplified(schemes)
             }
             7 => {
-                let n = self.count(4)?;
-                let kept = (0..n).map(|_| self.u32()).collect::<Result<Vec<_>, _>>()?;
+                let n = self.r.count(4)?;
+                let kept = (0..n)
+                    .map(|_| self.r.u32())
+                    .collect::<Result<Vec<_>, _>>()?;
                 Verdict::Nonredundant(kept)
             }
-            _ => return Reader::corrupt("unknown verdict tag"),
+            _ => return Err(self.r.corrupt("unknown verdict tag")),
         })
     }
-}
 
-/// A fully parsed, integrity-checked cache file, entries still in
-/// file-local id space.
-struct ParsedCache {
-    tables: ImportTables,
-    entries: Vec<(CacheKey, Entry)>,
-}
-
-fn parse_cache(bytes: &[u8]) -> Result<ParsedCache, PersistError> {
-    if bytes.len() < 20 || &bytes[..8] != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let checksum = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let payload = &bytes[20..];
-    if fnv1a64(payload) != checksum {
-        return Err(PersistError::ChecksumMismatch);
-    }
-
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
-    let attrs = r.table()?;
-    let rels = r.table()?;
-    let count = r.u64()?;
-    // Every entry is at least 38 bytes (key + fp-table length + tag).
-    if count.saturating_mul(38) > (payload.len() - r.pos) as u64 {
-        return Reader::corrupt("entry count exceeds payload");
-    }
-    let mut entries = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let kind = match r.u8()? {
-            0 => CheckKind::Member,
-            1 => CheckKind::Dominates,
-            2 => CheckKind::Equivalent,
-            3 => CheckKind::Simplify,
-            4 => CheckKind::Nonredundant,
-            _ => return Reader::corrupt("unknown check kind"),
-        };
+    fn entry(&mut self) -> Result<(CacheKey, Entry), CodecError> {
+        let kind = self.r.u8()?;
+        let kind =
+            CheckKind::from_byte(kind).ok_or_else(|| self.r.corrupt("unknown check kind"))?;
         let key = CacheKey {
             kind,
-            left: Fingerprint::from_raw(r.u128()?),
-            right: Fingerprint::from_raw(r.u128()?),
+            left: Fingerprint::from_raw(self.r.u128()?),
+            right: Fingerprint::from_raw(self.r.u128()?),
         };
-        let n = r.count(16)?;
+        let n = self.r.count(16)?;
         let fps = (0..n)
-            .map(|_| r.u128().map(Fingerprint::from_raw))
+            .map(|_| self.r.u128().map(Fingerprint::from_raw))
             .collect::<Result<Vec<_>, _>>()?;
-        let verdict = r.verdict(attrs.len(), rels.len())?;
+        let verdict = self.verdict()?;
         if verdict.kind() != kind {
-            return Reader::corrupt("verdict kind disagrees with its key");
+            return Err(self.r.corrupt("verdict kind disagrees with its key"));
         }
-        entries.push((
-            key,
-            Entry {
-                verdict: Arc::new(verdict),
-                left_query_fps: Arc::from(fps.as_slice()),
-                foreign: true,
-            },
-        ));
+        let entry = Entry {
+            verdict: Arc::new(verdict),
+            left_query_fps: Arc::from(fps.as_slice()),
+            foreign: true,
+        };
+        Ok((key, entry))
     }
-    if r.pos != payload.len() {
-        return Reader::corrupt("trailing bytes after final entry");
+}
+
+/// A fully parsed, integrity-checked cache file: its name tables and its
+/// entries, still in file-local id space.
+fn parse_cache(bytes: &[u8]) -> Result<(ImportTables, Vec<(CacheKey, Entry)>), CodecError> {
+    let mut r = codec::open(bytes, &CACHE_FORMAT)?;
+    let (attrs, rels) = (r.table()?, r.table()?);
+    let count = r.u64()?;
+    // Every entry is at least 38 bytes (key + fp-table length + tag).
+    if count.saturating_mul(38) > r.remaining() as u64 {
+        return Err(r.corrupt("entry count exceeds payload"));
     }
-    Ok(ParsedCache {
-        tables: ImportTables { attrs, rels },
-        entries,
-    })
+    let b = Bounds {
+        attrs: attrs.len(),
+        rels: rels.len(),
+        lambdas: 0,
+    };
+    let mut d = EntryReader { r, b };
+    let mut entries = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        entries.push(d.entry()?);
+    }
+    d.r.finish()?;
+    Ok((ImportTables { attrs, rels }, entries))
 }
 
 /// Deserialize a cache from bytes into a cache bounded by `max_entries`
@@ -733,21 +524,23 @@ fn parse_cache(bytes: &[u8]) -> Result<ParsedCache, PersistError> {
 /// engine translates them on first hit. Use against any catalog declaring
 /// the relations the producing runs declared — fingerprints are
 /// content-addressed, so declaration order is immaterial.
-pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCache, PersistError> {
+pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCache, CodecError> {
     let mut span = LOAD_SPAN.start();
     span.arg("bytes", bytes.len() as u64);
     PERSIST_IN.add(bytes.len() as u64);
-    let parsed = parse_cache(bytes)?;
+    let (tables, entries) = parse_cache(bytes)?;
     let cache = VerdictCache::bounded(max_entries);
-    cache.set_import_tables(Arc::new(parsed.tables));
-    let keep_from = match max_entries {
-        Some(m) => parsed.entries.len().saturating_sub(m.max(1)),
-        None => 0,
-    };
-    for (key, entry) in parsed.entries.into_iter().skip(keep_from) {
+    cache.set_import_tables(Arc::new(tables));
+    let keep_from = tail_start(entries.len(), max_entries);
+    for (key, entry) in entries.into_iter().skip(keep_from) {
         cache.insert(key, entry);
     }
     Ok(cache)
+}
+
+/// Where the last `max_entries` (at least one) of `len` entries start.
+fn tail_start(len: usize, max_entries: Option<usize>) -> usize {
+    max_entries.map_or(0, |m| len.saturating_sub(m.max(1)))
 }
 
 /// Fully parse and integrity-check `bytes` as a version-2 cache file
@@ -755,8 +548,8 @@ pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCac
 /// of [`crate::pilestore`]'s import bridge — a pile may only ever contain
 /// records that parse, so corruption can always be localized to record
 /// framing, never to record content.
-pub fn validate_cache_bytes(bytes: &[u8]) -> Result<usize, PersistError> {
-    parse_cache(bytes).map(|parsed| parsed.entries.len())
+pub fn validate_cache_bytes(bytes: &[u8]) -> Result<usize, CodecError> {
+    parse_cache(bytes).map(|(_, entries)| entries.len())
 }
 
 // ----------------------------------------------------------- translation
@@ -914,16 +707,6 @@ pub struct MergeReport {
     pub replaced: usize,
 }
 
-impl fmt::Display for MergeReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} file(s), {} entrie(s) in, {} out, {} replaced",
-            self.inputs, self.entries_in, self.entries_out, self.replaced
-        )
-    }
-}
-
 /// Merge N cache files into one: the union of their verdict sets, keyed by
 /// fingerprint. When two inputs hold the same key, the *last* input wins
 /// (the verdicts are semantically identical — equal fingerprints mean the
@@ -934,59 +717,33 @@ impl fmt::Display for MergeReport {
 ///
 /// Every input is fully parsed and integrity-checked before any output is
 /// produced: a corrupt or version-skewed input yields `Err` and no bytes.
-pub fn merge_cache_bytes(inputs: &[Vec<u8>]) -> Result<(Vec<u8>, MergeReport), PersistError> {
+pub fn merge_cache_bytes(inputs: &[Vec<u8>]) -> Result<(Vec<u8>, MergeReport), CodecError> {
     let parsed = inputs
         .iter()
         .map(|bytes| parse_cache(bytes))
         .collect::<Result<Vec<_>, _>>()?;
 
     // Last-writer-wins union, iterated in input order.
-    let mut union: std::collections::BTreeMap<(u8, u128, u128), (usize, &Entry)> =
-        std::collections::BTreeMap::new();
+    let mut union: BTreeMap<CacheKey, (&Entry, &ImportTables)> = BTreeMap::new();
     let mut entries_in = 0usize;
     let mut replaced = 0usize;
-    for (file_idx, file) in parsed.iter().enumerate() {
-        for (key, entry) in &file.entries {
+    for (tables, entries) in &parsed {
+        for (key, entry) in entries {
             entries_in += 1;
-            if union.insert(key.sort_key(), (file_idx, entry)).is_some() {
+            if union.insert(*key, (entry, tables)).is_some() {
                 replaced += 1;
             }
         }
     }
-
-    let mut attrs = TableBuilder::default();
-    let mut rels = TableBuilder::default();
-    let mut encoded = Vec::new();
-    let mut count = 0u64;
-    for ((kind, left, right), (file_idx, entry)) in &union {
-        let key = CacheKey {
-            kind: match kind {
-                0 => CheckKind::Member,
-                1 => CheckKind::Dominates,
-                2 => CheckKind::Equivalent,
-                3 => CheckKind::Simplify,
-                _ => CheckKind::Nonredundant,
-            },
-            left: Fingerprint::from_raw(*left),
-            right: Fingerprint::from_raw(*right),
-        };
-        let mut w = EntryWriter {
-            buf: Vec::new(),
-            attrs: &mut attrs,
-            rels: &mut rels,
-            names: NameSource::Tables(&parsed[*file_idx].tables),
-            lambda: HashMap::new(),
-        };
-        if w.entry(&key, entry).is_some() {
-            encoded.extend_from_slice(&w.buf);
-            count += 1;
-        }
-    }
-    let out = assemble(&attrs, &rels, count, &encoded);
+    let (out, count) = encode(
+        union
+            .iter()
+            .map(|(key, &(entry, tables))| (key, entry, NameSource::Tables(tables))),
+    );
     let report = MergeReport {
         inputs: inputs.len(),
         entries_in,
-        entries_out: count as usize,
+        entries_out: count,
         replaced,
     };
     Ok((out, report))
@@ -1023,34 +780,18 @@ impl fmt::Display for CompactReport {
 pub fn compact_cache_bytes(
     bytes: &[u8],
     max_entries: Option<usize>,
-) -> Result<(Vec<u8>, CompactReport), PersistError> {
-    let parsed = parse_cache(bytes)?;
-    let entries_in = parsed.entries.len();
-    let keep_from = match max_entries {
-        Some(m) => entries_in.saturating_sub(m.max(1)),
-        None => 0,
-    };
-    let mut attrs = TableBuilder::default();
-    let mut rels = TableBuilder::default();
-    let mut encoded = Vec::new();
-    let mut count = 0u64;
-    for (key, entry) in &parsed.entries[keep_from..] {
-        let mut w = EntryWriter {
-            buf: Vec::new(),
-            attrs: &mut attrs,
-            rels: &mut rels,
-            names: NameSource::Tables(&parsed.tables),
-            lambda: HashMap::new(),
-        };
-        if w.entry(key, entry).is_some() {
-            encoded.extend_from_slice(&w.buf);
-            count += 1;
-        }
-    }
-    let out = assemble(&attrs, &rels, count, &encoded);
+) -> Result<(Vec<u8>, CompactReport), CodecError> {
+    let (tables, entries) = parse_cache(bytes)?;
+    let entries_in = entries.len();
+    let keep_from = tail_start(entries_in, max_entries);
+    let (out, count) = encode(
+        entries[keep_from..]
+            .iter()
+            .map(|(key, entry)| (key, entry, NameSource::Tables(&tables))),
+    );
     let report = CompactReport {
         entries_in,
-        entries_out: count as usize,
+        entries_out: count,
         bytes_in: bytes.len(),
         bytes_out: out.len(),
     };

@@ -32,14 +32,15 @@ use crate::cache::VerdictCache;
 use crate::engine::Engine;
 use crate::persist::{
     compact_cache_bytes, merge_cache_bytes, save_cache, validate_cache_bytes, CompactReport,
-    MergeReport, PersistError,
+    MergeReport,
 };
-use crate::spacestore::{SpaceLibrary, SpaceStoreError};
+use crate::spacestore::SpaceLibrary;
 use std::fmt;
 use std::fs::OpenOptions;
 use std::path::Path;
 use viewcap_base::Catalog;
 use viewcap_pile::{Pile, PileError, RecoveryReport};
+use viewcap_template::CodecError;
 
 /// Record kind of a cache snapshot (a whole version-2 cache file).
 pub const CACHE_RECORD_KIND: u8 = 1;
@@ -55,20 +56,16 @@ pub const SPACE_RECORD_KIND: u8 = 2;
 pub enum PileStoreError {
     /// The underlying pile rejected the operation (I/O or framing).
     Pile(PileError),
-    /// A record's cache payload failed to parse, or an import candidate
-    /// was rejected before being appended.
-    Persist(PersistError),
-    /// A record's space-library payload failed to parse, or an import
-    /// candidate was rejected before being appended.
-    Space(SpaceStoreError),
+    /// A record's cache or space-library payload failed to parse, or an
+    /// import candidate was rejected before being appended.
+    Codec(CodecError),
 }
 
 impl fmt::Display for PileStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PileStoreError::Pile(e) => write!(f, "{e}"),
-            PileStoreError::Persist(e) => write!(f, "{e}"),
-            PileStoreError::Space(e) => write!(f, "{e}"),
+            PileStoreError::Codec(e) => write!(f, "{e}"),
         }
     }
 }
@@ -81,15 +78,9 @@ impl From<PileError> for PileStoreError {
     }
 }
 
-impl From<PersistError> for PileStoreError {
-    fn from(e: PersistError) -> Self {
-        PileStoreError::Persist(e)
-    }
-}
-
-impl From<SpaceStoreError> for PileStoreError {
-    fn from(e: SpaceStoreError) -> Self {
-        PileStoreError::Space(e)
+impl From<CodecError> for PileStoreError {
+    fn from(e: CodecError) -> Self {
+        PileStoreError::Codec(e)
     }
 }
 
@@ -162,14 +153,12 @@ impl PileStore {
         Ok(entries)
     }
 
-    /// The pile's cache records' payloads, in append order. Unknown record
-    /// kinds are skipped (future formats may ride the same pile).
-    fn cache_payloads(&mut self) -> Result<Vec<Vec<u8>>, PileStoreError> {
-        Ok(self
-            .pile
-            .records()?
-            .into_iter()
-            .filter(|r| r.kind == CACHE_RECORD_KIND)
+    /// The payloads of the pile's records of `kind`, in append order.
+    /// Other kinds are skipped (future formats may ride the same pile).
+    fn payloads(&mut self, kind: u8) -> Result<Vec<Vec<u8>>, PileStoreError> {
+        let records = self.pile.records()?.into_iter();
+        Ok(records
+            .filter(|r| r.kind == kind)
             .map(|r| r.payload)
             .collect())
     }
@@ -178,7 +167,7 @@ impl PileStore {
     /// byte-identical to [`merge_cache_bytes`] over the same snapshots in
     /// the same order. An empty pile merges to an empty cache file.
     pub fn merged_bytes(&mut self) -> Result<(Vec<u8>, MergeReport), PileStoreError> {
-        Ok(merge_cache_bytes(&self.cache_payloads()?)?)
+        Ok(merge_cache_bytes(&self.payloads(CACHE_RECORD_KIND)?)?)
     }
 
     /// Load the pile's union verdict set as a cache bounded by
@@ -186,7 +175,7 @@ impl PileStore {
     /// [`crate::EngineConfig::shared_cache`]. Entries load `foreign` and
     /// translate into the live catalog on first hit.
     pub fn load(&mut self, max_entries: Option<usize>) -> Result<VerdictCache, PileStoreError> {
-        let payloads = self.cache_payloads()?;
+        let payloads = self.payloads(CACHE_RECORD_KIND)?;
         if payloads.is_empty() {
             return Ok(VerdictCache::bounded(max_entries));
         }
@@ -196,7 +185,7 @@ impl PileStore {
 
     /// Number of cache records currently in the pile.
     pub fn record_count(&mut self) -> Result<usize, PileStoreError> {
-        Ok(self.cache_payloads()?.len())
+        Ok(self.payloads(CACHE_RECORD_KIND)?.len())
     }
 
     /// Append a candidate-space library as one record (a complete
@@ -223,23 +212,15 @@ impl PileStore {
     /// space-record-free pile loads an empty library.
     pub fn load_spaces(&mut self) -> Result<SpaceLibrary, PileStoreError> {
         let mut out = SpaceLibrary::new();
-        for record in self.pile.records()? {
-            if record.kind != SPACE_RECORD_KIND {
-                continue;
-            }
-            out.merge(SpaceLibrary::from_bytes(&record.payload)?);
+        for payload in self.payloads(SPACE_RECORD_KIND)? {
+            out.merge(SpaceLibrary::from_bytes(&payload)?);
         }
         Ok(out)
     }
 
     /// Number of space records currently in the pile.
     pub fn space_record_count(&mut self) -> Result<usize, PileStoreError> {
-        Ok(self
-            .pile
-            .records()?
-            .into_iter()
-            .filter(|r| r.kind == SPACE_RECORD_KIND)
-            .count())
+        Ok(self.payloads(SPACE_RECORD_KIND)?.len())
     }
 
     /// Write this pile's merged state to a new pile at `out`: one cache
@@ -389,7 +370,7 @@ mod tests {
         bad[last] ^= 0xFF;
         assert!(matches!(
             store.append_cache_bytes(&bad),
-            Err(PileStoreError::Persist(_))
+            Err(PileStoreError::Codec(_))
         ));
         assert_eq!(store.record_count().unwrap(), 1);
 
@@ -433,7 +414,7 @@ mod tests {
         assert_eq!(store.append_space_bytes(&lib.to_bytes()).unwrap(), 1);
         assert!(matches!(
             store.append_space_bytes(b"garbage"),
-            Err(PileStoreError::Space(_))
+            Err(PileStoreError::Codec(_))
         ));
     }
 

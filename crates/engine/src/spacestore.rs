@@ -11,58 +11,27 @@
 //! harvested back ([`crate::Engine::harvest_spaces`]) and the grown library
 //! is appended to the pile as one space record ([`crate::PileStore`]).
 //!
-//! The container format mirrors the verdict-cache payload: magic, version,
-//! FNV-1a checksum over the payload, then a digest-ordered entry table.
-//! Entries are opaque here — each snapshot carries its own magic, version,
-//! and checksum, and is validated against the loading catalog at hydration
-//! time (`load_space`), so a library can ferry snapshots between catalogs
-//! that declare the same relations in any order.
+//! **Payload** (inside the [`codec`] frame, magic `VCAPSLIB`, version 1):
+//!
+//! ```text
+//! count     u32
+//! entries   sorted by digest: key u128, then the snapshot as a u32-length blob
+//! ```
+//!
+//! Entries are opaque here — each snapshot carries its own frame and is
+//! validated against the loading catalog at hydration time (`load_space`),
+//! so a library can ferry snapshots between catalogs that declare the same
+//! relations in any order.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use viewcap_base::fnv1a64;
+use viewcap_template::codec::{self, put_blob, put_u128, put_u32, CodecError, Format};
 
-/// First bytes of a space-library file.
-pub const SPACE_LIB_MAGIC: &[u8; 8] = b"VCAPSLIB";
-
-/// Version written by this build; anything else is rejected.
-pub const SPACE_LIB_VERSION: u32 = 1;
-
-/// Why a space-library payload was rejected.
-#[derive(Debug)]
-pub enum SpaceStoreError {
-    /// The payload does not start with [`SPACE_LIB_MAGIC`].
-    BadMagic,
-    /// The file's version is not [`SPACE_LIB_VERSION`].
-    VersionMismatch {
-        /// Version found in the file.
-        found: u32,
-        /// Version this build reads.
-        expected: u32,
-    },
-    /// The payload checksum does not match.
-    ChecksumMismatch,
-    /// Structurally invalid data (truncation, bad counts).
-    Corrupt(&'static str),
-}
-
-impl fmt::Display for SpaceStoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpaceStoreError::BadMagic => write!(f, "not a viewcap space library (bad magic)"),
-            SpaceStoreError::VersionMismatch { found, expected } => write!(
-                f,
-                "space library version {found} is not the supported version {expected}"
-            ),
-            SpaceStoreError::ChecksumMismatch => {
-                write!(f, "space library checksum mismatch (corrupted file)")
-            }
-            SpaceStoreError::Corrupt(what) => write!(f, "corrupt space library: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SpaceStoreError {}
+/// The space-library format's frame.
+pub const SPACE_LIB_FORMAT: Format = Format {
+    magic: b"VCAPSLIB",
+    version: 1,
+    label: "space library",
+};
 
 /// A digest-keyed collection of candidate-space snapshots.
 ///
@@ -116,74 +85,34 @@ impl SpaceLibrary {
         other
             .entries
             .into_iter()
-            .filter(|(k, v)| self.insert(*k, v.clone()))
-            .count()
+            .map(|(k, v)| self.insert(k, v) as usize)
+            .sum()
     }
 
     /// Serialize to the container format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        payload.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (key, bytes) in &self.entries {
-            payload.extend_from_slice(&key.to_le_bytes());
-            payload.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            payload.extend_from_slice(bytes);
+        put_u32(&mut payload, self.entries.len() as u32);
+        for (&key, bytes) in &self.entries {
+            put_u128(&mut payload, key);
+            put_blob(&mut payload, bytes);
         }
-        let mut out = Vec::with_capacity(20 + payload.len());
-        out.extend_from_slice(SPACE_LIB_MAGIC);
-        out.extend_from_slice(&SPACE_LIB_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        codec::seal(&SPACE_LIB_FORMAT, &payload)
     }
 
     /// Parse a library file, rejecting corruption cleanly.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SpaceLibrary, SpaceStoreError> {
-        if bytes.len() < 20 {
-            return Err(SpaceStoreError::Corrupt("shorter than the header"));
-        }
-        if &bytes[..8] != SPACE_LIB_MAGIC {
-            return Err(SpaceStoreError::BadMagic);
-        }
-        let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if found != SPACE_LIB_VERSION {
-            return Err(SpaceStoreError::VersionMismatch {
-                found,
-                expected: SPACE_LIB_VERSION,
-            });
-        }
-        let checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let payload = &bytes[20..];
-        if fnv1a64(payload) != checksum {
-            return Err(SpaceStoreError::ChecksumMismatch);
-        }
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], SpaceStoreError> {
-            let end = pos
-                .checked_add(n)
-                .filter(|&e| e <= payload.len())
-                .ok_or(SpaceStoreError::Corrupt("truncated entry"))?;
-            let slice = &payload[*pos..end];
-            *pos = end;
-            Ok(slice)
-        };
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
+    pub fn from_bytes(bytes: &[u8]) -> Result<SpaceLibrary, CodecError> {
+        let mut r = codec::open(bytes, &SPACE_LIB_FORMAT)?;
         // Each entry needs at least its digest + length fields.
-        if count > payload.len() / 20 {
-            return Err(SpaceStoreError::Corrupt("entry count exceeds payload"));
-        }
+        let count = r.count(20)?;
         let mut entries = BTreeMap::new();
         for _ in 0..count {
-            let key = u128::from_le_bytes(take(&mut pos, 16)?.try_into().expect("16 bytes"));
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-            let snapshot = take(&mut pos, len)?.to_vec();
-            if entries.insert(key, snapshot).is_some() {
-                return Err(SpaceStoreError::Corrupt("duplicate space key"));
+            let key = r.u128()?;
+            if entries.insert(key, r.blob()?.to_vec()).is_some() {
+                return Err(r.corrupt("duplicate space key"));
             }
         }
-        if pos != payload.len() {
-            return Err(SpaceStoreError::Corrupt("trailing bytes after entries"));
-        }
+        r.finish()?;
         Ok(SpaceLibrary { entries })
     }
 }
@@ -234,26 +163,26 @@ mod tests {
         let good = lib.to_bytes();
         assert!(matches!(
             SpaceLibrary::from_bytes(b"not a library"),
-            Err(SpaceStoreError::Corrupt(_))
+            Err(CodecError::BadMagic { .. })
         ));
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(
             SpaceLibrary::from_bytes(&bad),
-            Err(SpaceStoreError::BadMagic)
+            Err(CodecError::BadMagic { .. })
         ));
         let mut bad = good.clone();
         bad[8] = 0xEE;
         assert!(matches!(
             SpaceLibrary::from_bytes(&bad),
-            Err(SpaceStoreError::VersionMismatch { .. })
+            Err(CodecError::VersionMismatch { .. })
         ));
         let mut bad = good.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(matches!(
             SpaceLibrary::from_bytes(&bad),
-            Err(SpaceStoreError::ChecksumMismatch)
+            Err(CodecError::ChecksumMismatch { .. })
         ));
         // Every truncation is caught by the header or checksum guards.
         for cut in 0..good.len() {

@@ -5,8 +5,9 @@ use viewcap_base::Scheme;
 use viewcap_core::capacity::ClosureProof;
 use viewcap_core::equivalence::{DominanceWitness, EquivalenceWitness};
 
-/// The decision procedures the engine memoizes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// The decision procedures the engine memoizes, in the order cache files
+/// list them.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum CheckKind {
     /// Capacity membership: `Q ∈ Cap(𝒱)` (Theorem 2.4.11).
     Member,
@@ -18,6 +19,27 @@ pub enum CheckKind {
     Simplify,
     /// Greedy nonredundant subset of the defining queries (Theorem 3.1.4).
     Nonredundant,
+}
+
+impl CheckKind {
+    /// Every kind; a kind's byte in cache files is its index here.
+    const ALL: [CheckKind; 5] = [
+        CheckKind::Member,
+        CheckKind::Dominates,
+        CheckKind::Equivalent,
+        CheckKind::Simplify,
+        CheckKind::Nonredundant,
+    ];
+
+    /// The byte that stands for this kind in cache files.
+    pub(crate) fn byte(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind a cache-file byte stands for.
+    pub(crate) fn from_byte(b: u8) -> Option<CheckKind> {
+        CheckKind::ALL.get(b as usize).copied()
+    }
 }
 
 impl fmt::Display for CheckKind {

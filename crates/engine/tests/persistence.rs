@@ -12,8 +12,8 @@ use std::sync::Arc;
 use viewcap_base::Catalog;
 use viewcap_core::{Query, View};
 use viewcap_engine::{
-    compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, BatchOutcome, Check, Engine,
-    EngineConfig, PersistError, PileStore, VerdictCache, Workload,
+    compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, BatchOutcome, Check,
+    CodecError, Engine, EngineConfig, PileStore, VerdictCache, Workload,
 };
 use viewcap_gen::{random_query, random_view, random_world, WorldSpec};
 
@@ -140,15 +140,25 @@ fn corrupted_payload_bytes_are_rejected_cleanly() {
     engine.run_batch(&load, &cat, 1);
     let bytes = save_cache(engine.cache(), &cat);
 
-    // Flip one bit in a sweep of payload positions: the checksum must
-    // catch every one of them.
-    for pos in (20..bytes.len()).step_by(7) {
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0x40;
-        assert!(
-            matches!(load_cache(&bad, None), Err(PersistError::ChecksumMismatch)),
-            "flip at {pos} was not caught"
-        );
+    // Flip every byte with each of three masks: the checksum must catch
+    // every payload flip, and a header flip must be rejected too.
+    for pos in 0..bytes.len() {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            let mut bad = bytes.clone();
+            bad[pos] ^= flip;
+            let result = load_cache(&bad, None);
+            if pos >= 20 {
+                assert!(
+                    matches!(result, Err(CodecError::ChecksumMismatch { .. })),
+                    "payload flip {flip:#x} at {pos} was not caught"
+                );
+            } else {
+                assert!(
+                    result.is_err(),
+                    "header flip {flip:#x} at {pos} was accepted"
+                );
+            }
+        }
     }
 }
 
@@ -162,17 +172,20 @@ fn bad_magic_and_version_are_rejected() {
     wrong_magic[0] ^= 1;
     assert!(matches!(
         load_cache(&wrong_magic, None),
-        Err(PersistError::BadMagic)
+        Err(CodecError::BadMagic { .. })
     ));
 
     let mut future_version = bytes.clone();
     future_version[8] = 0xFF;
     assert!(matches!(
         load_cache(&future_version, None),
-        Err(PersistError::VersionMismatch { .. })
+        Err(CodecError::VersionMismatch { .. })
     ));
 
-    assert!(matches!(load_cache(&[], None), Err(PersistError::BadMagic)));
+    assert!(matches!(
+        load_cache(&[], None),
+        Err(CodecError::BadMagic { .. })
+    ));
 }
 
 #[test]
@@ -210,7 +223,9 @@ fn old_version_files_are_rejected_with_a_migration_hint() {
         Err(e) => e,
     };
     match &err {
-        PersistError::VersionMismatch { found, expected } => {
+        CodecError::VersionMismatch {
+            found, expected, ..
+        } => {
             assert_eq!((*found, *expected), (1, 2));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
@@ -228,7 +243,7 @@ fn old_version_files_are_rejected_with_a_migration_hint() {
     let good = save_cache(Engine::new().cache(), &cat);
     assert!(matches!(
         merge_cache_bytes(&[good, v1]),
-        Err(PersistError::VersionMismatch { found: 1, .. })
+        Err(CodecError::VersionMismatch { found: 1, .. })
     ));
 }
 
@@ -293,7 +308,7 @@ fn corrupt_merge_inputs_cannot_poison_an_output_file() {
     corrupt[flip] ^= 0x10;
     assert!(matches!(
         merge_cache_bytes(&[good.clone(), corrupt]),
-        Err(PersistError::ChecksumMismatch)
+        Err(CodecError::ChecksumMismatch { .. })
     ));
     let truncated = good[..good.len() - 3].to_vec();
     assert!(merge_cache_bytes(&[truncated]).is_err());

@@ -28,9 +28,12 @@
 //!   semantic deduplication — the effective core behind the paper's
 //!   decidability results ([`search`]);
 //! * **expression-template recognition**, our constructive replacement for
-//!   Propositions 2.4.5/2.4.6 ([`recognize`]).
+//!   Propositions 2.4.5/2.4.6 ([`recognize`]);
+//! * the **codec** every persisted format reads and writes through: frame,
+//!   name tables, tagged-tuple rows, one error type ([`codec`]).
 
 pub mod canon;
+pub mod codec;
 pub mod components;
 pub mod display;
 pub mod error;
@@ -47,6 +50,7 @@ pub mod subst;
 pub mod template;
 
 pub use canon::{canonical_key, canonical_key_with, is_isomorphic, CanonKey, KeyLabels};
+pub use codec::{CodecError, Format};
 pub use components::connected_components;
 pub use error::TemplateError;
 pub use eval::eval_template;
@@ -63,8 +67,6 @@ pub use search::{
     for_each_candidate, for_each_candidate_with, CandidateSpace, SearchLimits, SearchOptions,
     SearchOverflow, SearchStats,
 };
-pub use snapshot::{
-    load_space, save_space, space_digest, SnapshotError, SPACE_FORMAT_VERSION, SPACE_MAGIC,
-};
+pub use snapshot::{load_space, save_space, space_digest, SPACE_FORMAT};
 pub use subst::{apply_assignment, substitute, Assignment, Substitution};
 pub use template::{TaggedTuple, Template};

@@ -12,7 +12,7 @@
 //! * **arbitrary garbage** that was never a snapshot.
 //!
 //! The invariant under every fault: [`load_space`] never panics and
-//! never yields a space — it returns a [`SnapshotError`]. A mismatched
+//! never yields a space — it returns a [`CodecError`]. A mismatched
 //! but *valid* snapshot (wrong atoms, wrong options) is likewise
 //! rejected, as `Mismatch`.
 
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use std::ops::ControlFlow;
 use viewcap_base::{Catalog, RelId};
 use viewcap_template::{
-    load_space, save_space, CandidateSpace, SearchLimits, SearchOptions, SnapshotError,
+    load_space, save_space, CandidateSpace, CodecError, SearchLimits, SearchOptions,
 };
 
 fn setup() -> (Catalog, Vec<RelId>) {
@@ -63,7 +63,7 @@ fn truncation_at_every_byte_offset_is_rejected() {
         // A prefix is torn framing or a checksum that cannot match —
         // never a semantic error against the catalog.
         assert!(
-            !matches!(err, SnapshotError::Mismatch(_)),
+            !matches!(err, CodecError::Mismatch(_)),
             "cut={cut}: prefix misdiagnosed as {err}"
         );
     }
@@ -91,7 +91,7 @@ fn mismatched_context_is_rejected_not_misloaded() {
     let swapped = vec![atoms[1], atoms[0]];
     assert!(matches!(
         load_space(&bytes, &cat, &swapped, SearchOptions::default()),
-        Err(SnapshotError::Mismatch(_))
+        Err(CodecError::Mismatch(_))
     ));
     // Wrong options.
     let other = SearchOptions {
@@ -100,7 +100,7 @@ fn mismatched_context_is_rejected_not_misloaded() {
     };
     assert!(matches!(
         load_space(&bytes, &cat, &atoms, other),
-        Err(SnapshotError::Mismatch(_))
+        Err(CodecError::Mismatch(_))
     ));
     // A catalog declaring different content under the same names.
     let mut alien = Catalog::new();

@@ -56,7 +56,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
-use viewcap_engine::{EngineConfig, PileStore, PileStoreError, Session, SPACE_LIB_MAGIC};
+use viewcap_engine::{EngineConfig, PileStore, PileStoreError, Session, SPACE_LIB_FORMAT};
 
 const DEMO: &str = r#"
 # Built-in demo: Example 3.1.5 of Connors (JCSS 1986).
@@ -194,7 +194,7 @@ fn pile_import(pile: &Path, inputs: &[PathBuf]) -> Result<(), String> {
     for path in inputs {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        let imported = if bytes.starts_with(SPACE_LIB_MAGIC) {
+        let imported = if bytes.starts_with(SPACE_LIB_FORMAT.magic) {
             store
                 .append_space_bytes(&bytes)
                 .map(|n| format!("{n} space(s)"))
