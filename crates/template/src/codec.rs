@@ -217,7 +217,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader over `bytes` whose errors name `format`.
-    pub fn new(bytes: &'a [u8], format: &'static str) -> Reader<'a> {
+    fn new(bytes: &'a [u8], format: &'static str) -> Reader<'a> {
         Reader {
             bytes,
             pos: 0,
@@ -239,13 +239,12 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos + n;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| self.corrupt("truncated"))?;
-        self.pos = end;
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.remaining() < n {
+            return Err(self.corrupt("unexpected end of payload"));
+        }
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
         Ok(slice)
     }
 
