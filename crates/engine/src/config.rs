@@ -362,6 +362,21 @@ mod tests {
             Session::open(EngineConfig::new().pile(&path)),
             Err(ConfigError::Pile(..))
         ));
+
+        // A valid cache record beside a well-framed space record that is
+        // not a space library.
+        let path = tmp("corrupt-space-record.vcappile");
+        let mut session = Session::open(EngineConfig::new().pile(&path)).unwrap();
+        decide(session.engine(), &cat, &view, "pi{A}(R)");
+        session.persist(&cat).unwrap();
+        viewcap_pile::Pile::open(&path)
+            .unwrap()
+            .append(crate::SPACE_RECORD_KIND, b"not a space library")
+            .unwrap();
+        assert!(matches!(
+            Session::open(EngineConfig::new().pile(&path)),
+            Err(ConfigError::Pile(..))
+        ));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use viewcap_base::{fnv1a64, Catalog, RelId};
 use viewcap_core::{Query, View};
 use viewcap_engine::{
     compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, Check, Engine, EngineConfig,
-    SpaceLibrary, Verdict,
+    PileStore, SpaceLibrary, Verdict,
 };
 use viewcap_expr::parse_expr;
 use viewcap_template::{save_space, space_digest, CandidateSpace, SearchLimits, SearchOptions};
@@ -115,6 +115,24 @@ fn cache_file_bytes_are_pinned() {
     let (compacted, report) = compact_cache_bytes(&saved, Some(2)).unwrap();
     assert_eq!(report.entries_out, 2);
     assert_eq!(pin(&compacted), (288, 0x3001_E734_EFB5_514E));
+}
+
+/// Loading a pile is the merge: a pile holding both cache files as two
+/// records loads a cache that saves to the merge pin's bytes.
+#[test]
+fn pile_load_saves_the_merge_pin() {
+    let (foreign, saved) = cache_files();
+    let dir = std::env::temp_dir().join(format!("viewcap-format-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("merge.vcappile");
+    let _ = std::fs::remove_file(&path);
+    let mut store = PileStore::open(&path).unwrap();
+    for file in [&foreign, &saved] {
+        store.append_cache_bytes(file).unwrap();
+    }
+    let loaded = store.load(None).unwrap();
+    let resaved = save_cache(&loaded, &Catalog::new());
+    assert_eq!(pin(&resaved), (1271, 0x53BC_4894_2ECF_B35F));
 }
 
 fn space(cat: &Catalog, atoms: &[RelId], max_atoms: usize) -> Vec<u8> {

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
-use viewcap_engine::{load_cache, merge_cache_bytes, save_cache, Engine, EngineConfig};
+use viewcap_engine::{load_cache, merge_cache_bytes, save_cache, Engine, EngineConfig, PileStore};
 
 /// The shared declarations + workload, minus any permutation directive.
 const BODY: &str = r#"
@@ -116,8 +116,8 @@ fn permuted_catalog_saves_a_cache_the_original_order_hits() {
 fn merged_worker_caches_warm_start_a_third_run() {
     // Fleet flow: worker 1 and worker 2 each decide half the workload
     // (under *different* declaration orders), their caches merge into one
-    // warm-start file, and a third run over the full workload — under yet
-    // another order — computes nothing.
+    // warm-start file or pile, and a third run over the full workload —
+    // under yet another order — computes nothing from either.
     let split_at = BODY.find("batch {").expect("batch block present");
     let first_half = &BODY[..split_at];
     let second_half = format!(
@@ -138,23 +138,47 @@ fn merged_worker_caches_warm_start_a_third_run() {
     assert_eq!(report.inputs, 2);
     assert!(report.entries_out > 0);
 
-    let third = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(
-        load_cache(&merged, None).expect("merged cache loads"),
-    )))
-    .unwrap();
-    let out3 = run_scenario_with_engine(&permuted(3), &options, &third).unwrap();
-    assert_eq!(
-        out3.stats.misses, 0,
-        "third run recomputed despite the merged warm start\n{}",
-        out3.report
-    );
-    assert!(out3.stats.hits > 0);
-    // Verdict lines agree with the workers' runs on the overlap.
-    let all: Vec<&str> = verdict_lines(&out3.report);
-    for line in verdict_lines(&out1.report) {
-        assert!(all.contains(&line), "missing worker-1 verdict: {line}");
-    }
-    for line in verdict_lines(&out2.report) {
-        assert!(all.contains(&line), "missing worker-2 verdict: {line}");
+    // The same union through a pile: both workers append to one pile, so
+    // it holds records under two different name tables.
+    let dir = std::env::temp_dir().join(format!("viewcap-cross-catalog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("workers.vcappile");
+    let _ = std::fs::remove_file(&path);
+    let mut pile = PileStore::open(&path).expect("open pile");
+    pile.append_cache(w1.cache(), &out1.catalog)
+        .expect("append");
+    pile.append_cache(w2.cache(), &out2.catalog)
+        .expect("append");
+
+    let warm_starts = [
+        (
+            "merged file",
+            load_cache(&merged, None).expect("merged cache loads"),
+        ),
+        ("pile", pile.load(None).expect("pile loads")),
+    ];
+    for (source, cache) in warm_starts {
+        let third = Engine::from_config(EngineConfig::new().shared_cache(Arc::new(cache))).unwrap();
+        let out3 = run_scenario_with_engine(&permuted(3), &options, &third).unwrap();
+        assert_eq!(
+            out3.stats.misses, 0,
+            "{source}: third run recomputed despite the warm start\n{}",
+            out3.report
+        );
+        assert!(out3.stats.hits > 0, "{source}: no hits recorded");
+        // Verdict lines agree with the workers' runs on the overlap.
+        let all: Vec<&str> = verdict_lines(&out3.report);
+        for line in verdict_lines(&out1.report) {
+            assert!(
+                all.contains(&line),
+                "{source}: missing worker-1 verdict: {line}"
+            );
+        }
+        for line in verdict_lines(&out2.report) {
+            assert!(
+                all.contains(&line),
+                "{source}: missing worker-2 verdict: {line}"
+            );
+        }
     }
 }

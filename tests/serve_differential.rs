@@ -163,6 +163,47 @@ fn client_transcripts_are_byte_identical_to_the_batch_cli() {
 }
 
 #[test]
+fn warm_daemon_skips_an_undecodable_space_record() {
+    // A pile with a valid cache record and a well-framed space record
+    // that is not a space library: `Session` refuses such a pile, but
+    // the daemon seeds an empty space library and answers from the
+    // cache, byte-identically to the batch CLI.
+    let dir = scratch();
+    let socket = dir.join("bad-space.sock");
+    let pile = dir.join("bad-space.vcappile");
+    let _ = std::fs::remove_file(&pile);
+    let scenario = scenario_path("example_3_1_5");
+    assert_ok(
+        &run_cli(&["--pile", pile.to_str().unwrap()], &[&scenario]),
+        "batch run appending to the pile",
+    );
+    viewcap_pile::Pile::open(&pile)
+        .unwrap()
+        .append(viewcap_engine::SPACE_RECORD_KIND, b"not a space library")
+        .unwrap();
+    let _daemon = start_daemon(&socket, &pile);
+    let direct = run_cli(&["--jobs", "1"], &[&scenario]);
+    assert_ok(&direct, "batch example_3_1_5");
+    let warm = run_cli(
+        &[
+            "client",
+            "--socket",
+            socket.to_str().unwrap(),
+            "--warm",
+            "k",
+        ],
+        &[&scenario],
+    );
+    assert_ok(&warm, "warm client run");
+    assert_eq!(
+        warm.stdout,
+        direct.stdout,
+        "warm transcript diverged from the batch CLI:\n{}",
+        String::from_utf8_lossy(&warm.stdout)
+    );
+}
+
+#[test]
 fn daemon_rejects_malformed_requests_without_dying() {
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
