@@ -19,16 +19,16 @@
 //! Eviction therefore never changes answers — only how often they must be
 //! recomputed. Fingerprints are catalog-content-addressed, so one cache
 //! serves every catalog declaring the same relations, whatever their
-//! declaration order; entries loaded from disk carry their producer's
-//! name tables ([`crate::persist::ImportTables`]) and are translated into
-//! the consumer's catalog on first hit (see `foreign` on [`Entry`]).
+//! declaration order; an entry loaded from disk carries its file's name
+//! tables ([`crate::persist::ImportTables`]) and is translated into the
+//! consumer's catalog on first hit (see `foreign` on [`Entry`]).
 
 use crate::fingerprint::Fingerprint;
 use crate::lru::Lru;
 use crate::persist::ImportTables;
 use crate::verdict::{CheckKind, Verdict};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use viewcap_obs as obs;
 
 /// Telemetry mirrors of the [`CacheStats`] counters (live only while
@@ -59,12 +59,11 @@ pub struct Entry {
     pub verdict: Arc<Verdict>,
     /// Ordered per-query fingerprints of the producing request's left view.
     pub left_query_fps: Arc<[Fingerprint]>,
-    /// `true` when the witness ids are still in the *file-local* id space
-    /// of a loaded cache (indexes into the cache's
-    /// [`ImportTables`]) rather than a live catalog. The engine translates
-    /// foreign entries into the consumer catalog on first hit and replaces
-    /// them; a foreign witness must never be rendered or evaluated as-is.
-    pub foreign: bool,
+    /// The name tables of the file this entry was loaded from, while its
+    /// witness ids still index them rather than a live catalog (`None`: a
+    /// native entry). The engine translates a foreign entry on first hit
+    /// and replaces it; a foreign witness must never be rendered as-is.
+    pub foreign: Option<Arc<ImportTables>>,
 }
 
 /// Counters for one cache (monotonic; snapshot via [`VerdictCache::stats`]).
@@ -105,10 +104,6 @@ pub struct VerdictCache {
     inner: Mutex<Inner>,
     /// `None` = unbounded.
     max_entries: Option<usize>,
-    /// Producer name tables of a disk-loaded cache, used to translate
-    /// `foreign` entries into a live catalog on first hit. Set once by
-    /// [`crate::persist::load_cache`].
-    import: OnceLock<Arc<ImportTables>>,
 }
 
 impl VerdictCache {
@@ -126,17 +121,6 @@ impl VerdictCache {
             max_entries: max_entries.map(|m| m.max(1)),
             ..VerdictCache::default()
         }
-    }
-
-    /// Attach the producer name tables of a disk-loaded cache (first call
-    /// wins; persistence sets them exactly once, right after loading).
-    pub(crate) fn set_import_tables(&self, tables: Arc<ImportTables>) {
-        let _ = self.import.set(tables);
-    }
-
-    /// The producer name tables, when this cache was loaded from disk.
-    pub(crate) fn import_tables(&self) -> Option<&Arc<ImportTables>> {
-        self.import.get()
     }
 
     /// The configured capacity (`None` = unbounded).
@@ -237,7 +221,7 @@ mod tests {
         Entry {
             verdict: Arc::new(Verdict::Member(None)),
             left_query_fps: Arc::from([] as [Fingerprint; 0]),
-            foreign: false,
+            foreign: None,
         }
     }
 

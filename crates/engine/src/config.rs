@@ -165,8 +165,9 @@ impl Session {
             });
         };
         let mut store = PileStore::open(&path).map_err(pile_err(&path))?;
-        let cache = store.load(cache_max).map_err(pile_err(&path))?;
-        let spaces = store.load_spaces().map_err(pile_err(&path))?;
+        let records = store.records().map_err(pile_err(&path))?;
+        let cache = records.load(cache_max).map_err(pile_err(&path))?;
+        let spaces = records.load_spaces().map_err(pile_err(&path))?;
         Ok(Session {
             engine: Engine::assemble(Arc::new(cache), Some(Arc::new(Mutex::new(spaces)))),
             pile: Some(store),
@@ -322,7 +323,7 @@ mod tests {
         session.persist(&cat).unwrap();
         let mut store = PileStore::open(&path).unwrap();
         assert_eq!(store.record_count().unwrap(), 1);
-        assert_eq!(store.space_record_count().unwrap(), 1);
+        assert_eq!(store.records().unwrap().spaces.len(), 1);
 
         // A bounded cache drops the verdict, so the warm session misses
         // and must hydrate the persisted space instead of rebuilding it.

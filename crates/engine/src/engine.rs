@@ -575,20 +575,19 @@ impl Engine {
     }
 
     /// Cache lookup that resolves `foreign` entries (loaded from disk with
-    /// witnesses in file-local id space) into `catalog`'s ids on first
-    /// hit, replacing the stored entry so translation is paid once. A
-    /// foreign entry whose names are not (yet) declared in `catalog`
-    /// counts as a miss: the check recomputes and the fresh native entry
-    /// shadows it (publication goes through [`VerdictCache::replace`]).
-    /// The preceding `get` already counted a hit in that pathological
-    /// case, so [`CacheStats`] may over-report hits by the handful of
-    /// untranslatable lookups — never verdicts.
+    /// witnesses in file-local id space) into `catalog`'s ids through the
+    /// entry's own name tables on first hit, replacing the stored entry so
+    /// translation is paid once. A foreign entry whose names are not (yet)
+    /// declared in `catalog` counts as a miss: the check recomputes and the
+    /// fresh native entry shadows it (publication goes through
+    /// [`VerdictCache::replace`]). The preceding `get` already counted a
+    /// hit in that pathological case, so [`CacheStats`] may over-report
+    /// hits by the handful of untranslatable lookups — never verdicts.
     fn cached(&self, key: &CacheKey, catalog: &Catalog) -> Option<Entry> {
         let entry = self.cache.get(key)?;
-        if !entry.foreign {
+        let Some(tables) = &entry.foreign else {
             return Some(entry);
-        }
-        let tables = self.cache.import_tables()?;
+        };
         let native = crate::persist::translate_entry(&entry, tables, catalog)?;
         self.cache.replace(*key, native.clone());
         Some(native)
@@ -701,7 +700,7 @@ impl Engine {
         }
         Ok(Entry {
             verdict: Arc::new(verdict),
-            foreign: false,
+            foreign: None,
             left_query_fps: Arc::from(view_query_fingerprints(left_view, catalog).as_slice()),
         })
     }
@@ -780,7 +779,7 @@ impl Engine {
         }
         let entry = Entry {
             verdict: Arc::new(verdict),
-            foreign: false,
+            foreign: None,
             left_query_fps: Arc::from(view_query_fingerprints(view, catalog).as_slice()),
         };
         let decision = Decision::of(&entry, false, false);

@@ -102,7 +102,7 @@ pub use persist::{
     compact_cache_bytes, load_cache, merge_cache_bytes, save_cache, validate_cache_bytes,
     CompactReport, ImportTables, MergeReport, CACHE_FORMAT,
 };
-pub use pilestore::{PileStore, PileStoreError, CACHE_RECORD_KIND, SPACE_RECORD_KIND};
+pub use pilestore::{PileRecords, PileStore, PileStoreError, CACHE_RECORD_KIND, SPACE_RECORD_KIND};
 pub use spacestore::{SpaceLibrary, SPACE_LIB_FORMAT};
 pub use verdict::{CheckKind, Verdict};
 pub use viewcap_template::CodecError;

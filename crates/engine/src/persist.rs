@@ -9,9 +9,10 @@
 //! memoized witnesses equally portable, the file never stores raw catalog
 //! ids: every attribute and relation reference is an index into per-file
 //! *name tables*, and scratch `λᵢ` names are stored positionally. Loading
-//! keeps witnesses in that file-local id space (entries are marked
-//! `foreign`); the engine translates them into the live catalog on first
-//! hit via [`translate_entry`].
+//! keeps witnesses in that file-local id space: each loaded entry is
+//! `foreign`, holding the name tables of the file it came from, so entries
+//! of files with different tables share one cache. The engine translates
+//! an entry into the live catalog on first hit via [`translate_entry`].
 //!
 //! ## Payload (version 2, inside the [`codec`] frame, magic `VCAPCACH`)
 //!
@@ -36,14 +37,13 @@
 //!
 //! ## Fleet operations
 //!
-//! [`merge_cache_bytes`] folds N encoded caches into one (union of
-//! verdict sets, last input wins on shared fingerprints, name tables
-//! re-interned) — it is how a pile's cache records load; and
-//! [`compact_cache_bytes`] rewrites one in canonical form,
-//! garbage-collecting unreferenced table names and optionally truncating
-//! to the newest `max` entries — the cache half of `pile compact`. Both
-//! parse every input fully before producing a single output byte, so a
-//! corrupt input can never poison an output.
+//! Every reader parses each file, folds it into a last-writer-wins
+//! [`Union`] keyed by fingerprint, and takes the union's tail (its last
+//! `max` entries in key order): [`load_cache`] and
+//! [`crate::PileRecords::load`] insert the tail into a cache;
+//! [`merge_cache_bytes`], [`compact_cache_bytes`] and `pile compact`
+//! encode it with re-interned name tables. No output byte is produced
+//! before every input parses, so a corrupt input never poisons an output.
 
 use crate::cache::{CacheKey, Entry, VerdictCache};
 use crate::fingerprint::Fingerprint;
@@ -62,8 +62,8 @@ use viewcap_template::codec::{
 };
 use viewcap_template::{TaggedTuple, Template};
 
-/// Bytes serialized out of / parsed into the verdict cache (telemetry;
-/// live only while enabled). Spans cover the (de)serialization work.
+/// Bytes serialized out of / parsed by the cache format (telemetry; live
+/// only while enabled). Spans cover the (de)serialization work.
 static PERSIST_OUT: obs::Counter = obs::Counter::new("engine.cache.persist_bytes_out");
 static PERSIST_IN: obs::Counter = obs::Counter::new("engine.cache.persist_bytes_in");
 static SAVE_SPAN: obs::SpanDef =
@@ -85,9 +85,9 @@ pub const LAMBDA_BIT: u32 = 0x8000_0000;
 
 /// The producer's name tables of a loaded cache file: `attrs[i]` is the
 /// name behind file-local `AttrId(i)`, `rels[i]` behind file-local
-/// `RelId(i)`. Used to translate `foreign` entries into a live catalog
-/// ([`translate_entry`]) and to re-intern names when a loaded cache is
-/// saved or merged without ever constructing that catalog.
+/// `RelId(i)`, shared by every entry loaded from the file. Used to
+/// translate `foreign` entries into a live catalog ([`translate_entry`])
+/// and to re-intern names when they are saved or merged.
 #[derive(Debug)]
 pub struct ImportTables {
     /// File-local attribute names.
@@ -267,21 +267,26 @@ impl EntryWriter<'_, '_> {
 }
 
 /// Encode `entries`, in order, as one cache file, returning it with the
-/// number of entries written. An entry whose ids resolve nowhere is
-/// dropped; names it interned before failing stay in the tables.
+/// number of entries written. A `foreign` entry's ids resolve through its
+/// own tables, a native one's through `catalog`; an entry whose ids resolve
+/// nowhere is dropped (names it interned before failing stay).
 fn encode<'a>(
-    entries: impl Iterator<Item = (&'a CacheKey, &'a Entry, NameSource<'a>)>,
+    entries: impl Iterator<Item = (&'a CacheKey, &'a Entry)>,
+    catalog: &'a Catalog,
 ) -> (Vec<u8>, usize) {
     let (mut attrs, mut rels) = (Interner::default(), Interner::default());
     let mut body = Vec::new();
     let mut count = 0;
-    for (key, entry, names) in entries {
+    for (key, entry) in entries {
         let mark = body.len();
         let mut w = EntryWriter {
             out: &mut body,
             attrs: &mut attrs,
             rels: &mut rels,
-            names,
+            names: match &entry.foreign {
+                Some(tables) => NameSource::Tables(tables),
+                None => NameSource::Catalog(catalog),
+            },
             lambda: HashMap::new(),
         };
         match w.entry(key, entry) {
@@ -301,24 +306,16 @@ fn encode<'a>(
 /// names interned in first-encounter order over that sorted stream).
 ///
 /// `catalog` resolves the ids of natively computed entries; entries still
-/// `foreign` (loaded from disk and never hit) resolve through the cache's
-/// own import tables, so merged-in verdicts about relations this catalog
-/// never declared survive a save/load cycle losslessly. An entry whose ids
-/// resolve nowhere (possible only through API misuse — a witness computed
-/// against some *other* catalog) is skipped rather than corrupting the
-/// file.
+/// `foreign` (loaded from disk and never hit) resolve through the tables
+/// of the file each came from, so merged-in verdicts about relations this
+/// catalog never declared survive a save/load cycle losslessly. An entry
+/// whose ids resolve nowhere (possible only through API misuse — a witness
+/// computed against some *other* catalog) is skipped rather than
+/// corrupting the file.
 pub fn save_cache(cache: &VerdictCache, catalog: &Catalog) -> Vec<u8> {
     let mut span = SAVE_SPAN.start();
     let snapshot = cache.snapshot();
-    let tables = cache.import_tables();
-    let (bytes, count) = encode(snapshot.iter().filter_map(|(key, entry)| {
-        let names = match (entry.foreign, tables) {
-            (false, _) => NameSource::Catalog(catalog),
-            (true, Some(tables)) => NameSource::Tables(tables),
-            (true, None) => return None, // foreign entries always come with tables
-        };
-        Some((key, entry, names))
-    }));
+    let (bytes, count) = encode(snapshot.iter().map(|(key, entry)| (key, entry)), catalog);
     span.arg("bytes", bytes.len() as u64);
     span.arg("entries", count as u64);
     PERSIST_OUT.add(bytes.len() as u64);
@@ -356,6 +353,7 @@ impl Bounds {
 struct EntryReader<'a> {
     r: Reader<'a>,
     b: Bounds,
+    tables: Arc<ImportTables>,
 }
 
 impl EntryReader<'_> {
@@ -482,15 +480,15 @@ impl EntryReader<'_> {
         let entry = Entry {
             verdict: Arc::new(verdict),
             left_query_fps: Arc::from(fps.as_slice()),
-            foreign: true,
+            foreign: Some(Arc::clone(&self.tables)),
         };
         Ok((key, entry))
     }
 }
 
-/// A fully parsed, integrity-checked cache file: its name tables and its
-/// entries, still in file-local id space.
-fn parse_cache(bytes: &[u8]) -> Result<(ImportTables, Vec<(CacheKey, Entry)>), CodecError> {
+/// A fully parsed, integrity-checked cache file: its entries, still in
+/// file-local id space, each holding the file's name tables.
+fn parse_cache(bytes: &[u8]) -> Result<Vec<(CacheKey, Entry)>, CodecError> {
     let mut r = codec::open(bytes, &CACHE_FORMAT)?;
     let (attrs, rels) = (r.table()?, r.table()?);
     let count = r.u64()?;
@@ -503,44 +501,87 @@ fn parse_cache(bytes: &[u8]) -> Result<(ImportTables, Vec<(CacheKey, Entry)>), C
         rels: rels.len(),
         lambdas: 0,
     };
-    let mut d = EntryReader { r, b };
+    let tables = Arc::new(ImportTables { attrs, rels });
+    let mut d = EntryReader { r, b, tables };
     let mut entries = Vec::with_capacity(count as usize);
     for _ in 0..count {
         entries.push(d.entry()?);
     }
     d.r.finish()?;
-    Ok((ImportTables { attrs, rels }, entries))
+    Ok(entries)
+}
+
+/// The last-writer-wins union of parsed cache files, in key order. Each
+/// entry keeps the name tables of the file it came from.
+pub(crate) struct Union {
+    entries: BTreeMap<CacheKey, Entry>,
+    report: MergeReport,
+}
+
+impl Union {
+    /// Parse `files` in order, folding each into the union as soon as it
+    /// is parsed, so superseded entries are dropped early. A corrupt or
+    /// version-skewed file yields `Err` and no union.
+    pub(crate) fn of<B: AsRef<[u8]>>(files: &[B]) -> Result<Union, CodecError> {
+        let mut span = LOAD_SPAN.start();
+        let bytes_in = files.iter().map(|f| f.as_ref().len() as u64).sum();
+        span.arg("bytes", bytes_in);
+        PERSIST_IN.add(bytes_in);
+        let (mut entries, mut report) = (BTreeMap::new(), MergeReport::default());
+        for file in files {
+            for (key, entry) in parse_cache(file.as_ref())? {
+                report.entries_in += 1;
+                report.replaced += usize::from(entries.insert(key, entry).is_some());
+            }
+        }
+        (report.inputs, report.entries_out) = (files.len(), entries.len());
+        Ok(Union { entries, report })
+    }
+
+    /// Where the tail (the last `max_entries`, at least one) starts. Recency
+    /// does not persist, so dropping the front is as good as any policy.
+    fn tail_start(&self, max_entries: Option<usize>) -> usize {
+        max_entries.map_or(0, |m| self.entries.len().saturating_sub(m.max(1)))
+    }
+
+    /// The tail as a cache bounded by `max_entries`. Entries before the
+    /// tail are never inserted, so loading counts no evictions.
+    pub(crate) fn into_cache(self, max_entries: Option<usize>) -> VerdictCache {
+        let cache = VerdictCache::bounded(max_entries);
+        let start = self.tail_start(max_entries);
+        for (key, entry) in self.entries.into_iter().skip(start) {
+            cache.insert(key, entry);
+        }
+        cache
+    }
+
+    /// The tail as one canonical cache file (entries are all foreign, so no
+    /// catalog is consulted), reported against the whole union's file.
+    pub(crate) fn compact(&self, max_entries: Option<usize>) -> (Vec<u8>, CompactReport) {
+        let start = self.tail_start(max_entries);
+        let (out, entries_out) = encode(self.entries.iter().skip(start), &Catalog::new());
+        let bytes_in = match start {
+            0 => out.len(),
+            _ => encode(self.entries.iter(), &Catalog::new()).0.len(),
+        };
+        let report = CompactReport {
+            entries_in: self.entries.len(),
+            entries_out,
+            bytes_in,
+            bytes_out: out.len(),
+        };
+        (out, report)
+    }
 }
 
 /// Deserialize a cache from bytes into a cache bounded by `max_entries`
-/// (`None` = unbounded). If the saved cache is larger than the bound, only
-/// the final `max_entries` entries are kept: the excess is decoded (the
-/// whole payload is still integrity-checked) but never inserted, so
-/// loading counts no evictions. Recency does not persist, so no entry is
-/// more deserving than another; skipping the front of the sorted stream is
-/// as good as any policy.
-///
-/// Loaded entries are `foreign` (witnesses in file-local id space); the
-/// engine translates them on first hit. Use against any catalog declaring
-/// the relations the producing runs declared — fingerprints are
+/// (`None` = unbounded), keeping the final `max_entries` entries; the
+/// whole payload is still integrity-checked. Loaded entries are `foreign`
+/// and translate on first hit. Use against any catalog declaring the
+/// relations the producing runs declared — fingerprints are
 /// content-addressed, so declaration order is immaterial.
 pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCache, CodecError> {
-    let mut span = LOAD_SPAN.start();
-    span.arg("bytes", bytes.len() as u64);
-    PERSIST_IN.add(bytes.len() as u64);
-    let (tables, entries) = parse_cache(bytes)?;
-    let cache = VerdictCache::bounded(max_entries);
-    cache.set_import_tables(Arc::new(tables));
-    let keep_from = tail_start(entries.len(), max_entries);
-    for (key, entry) in entries.into_iter().skip(keep_from) {
-        cache.insert(key, entry);
-    }
-    Ok(cache)
-}
-
-/// Where the last `max_entries` (at least one) of `len` entries start.
-fn tail_start(len: usize, max_entries: Option<usize>) -> usize {
-    max_entries.map_or(0, |m| len.saturating_sub(m.max(1)))
+    Ok(Union::of(&[bytes])?.into_cache(max_entries))
 }
 
 /// Fully parse and integrity-check `bytes` as a version-2 cache file
@@ -549,7 +590,7 @@ fn tail_start(len: usize, max_entries: Option<usize>) -> usize {
 /// records that parse, so corruption can always be localized to record
 /// framing, never to record content.
 pub fn validate_cache_bytes(bytes: &[u8]) -> Result<usize, CodecError> {
-    parse_cache(bytes).map(|(_, entries)| entries.len())
+    parse_cache(bytes).map(|entries| entries.len())
 }
 
 // ----------------------------------------------------------- translation
@@ -686,14 +727,14 @@ pub(crate) fn translate_entry(
     Some(Entry {
         verdict: Arc::new(maps.verdict(&entry.verdict)?),
         left_query_fps: Arc::clone(&entry.left_query_fps),
-        foreign: false,
+        foreign: None,
     })
 }
 
 // ------------------------------------------------------ merge & compact
 
 /// Outcome of [`merge_cache_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeReport {
     /// Input files merged.
     pub inputs: usize,
@@ -718,35 +759,8 @@ pub struct MergeReport {
 /// Every input is fully parsed and integrity-checked before any output is
 /// produced: a corrupt or version-skewed input yields `Err` and no bytes.
 pub fn merge_cache_bytes(inputs: &[Vec<u8>]) -> Result<(Vec<u8>, MergeReport), CodecError> {
-    let parsed = inputs
-        .iter()
-        .map(|bytes| parse_cache(bytes))
-        .collect::<Result<Vec<_>, _>>()?;
-
-    // Last-writer-wins union, iterated in input order.
-    let mut union: BTreeMap<CacheKey, (&Entry, &ImportTables)> = BTreeMap::new();
-    let mut entries_in = 0usize;
-    let mut replaced = 0usize;
-    for (tables, entries) in &parsed {
-        for (key, entry) in entries {
-            entries_in += 1;
-            if union.insert(*key, (entry, tables)).is_some() {
-                replaced += 1;
-            }
-        }
-    }
-    let (out, count) = encode(
-        union
-            .iter()
-            .map(|(key, &(entry, tables))| (key, entry, NameSource::Tables(tables))),
-    );
-    let report = MergeReport {
-        inputs: inputs.len(),
-        entries_in,
-        entries_out: count,
-        replaced,
-    };
-    Ok((out, report))
+    let union = Union::of(inputs)?;
+    Ok((union.compact(None).0, union.report))
 }
 
 /// Outcome of [`compact_cache_bytes`].
@@ -781,19 +795,7 @@ pub fn compact_cache_bytes(
     bytes: &[u8],
     max_entries: Option<usize>,
 ) -> Result<(Vec<u8>, CompactReport), CodecError> {
-    let (tables, entries) = parse_cache(bytes)?;
-    let entries_in = entries.len();
-    let keep_from = tail_start(entries_in, max_entries);
-    let (out, count) = encode(
-        entries[keep_from..]
-            .iter()
-            .map(|(key, entry)| (key, entry, NameSource::Tables(&tables))),
-    );
-    let report = CompactReport {
-        entries_in,
-        entries_out: count,
-        bytes_in: bytes.len(),
-        bytes_out: out.len(),
-    };
-    Ok((out, report))
+    let (out, report) = Union::of(&[bytes])?.compact(max_entries);
+    let bytes_in = bytes.len();
+    Ok((out, CompactReport { bytes_in, ..report }))
 }

@@ -6,14 +6,16 @@
 //! format, so the pile adds framing and nothing else:
 //!
 //! * [`CACHE_RECORD_KIND`] — a version-2 verdict cache ([`crate::persist`]).
-//!   Loading ([`PileStore::load`], [`PileStore::merged_bytes`]) is exactly
-//!   [`merge_cache_bytes`] over the records in append order, so "merge"
-//!   stops being an operation: point two engines at the same pile and the
-//!   union is just what the pile contains.
+//!   Loading ([`PileRecords::load`]) inserts the union [`merge_cache_bytes`]
+//!   encodes — last writer wins, in append order — with each entry keeping
+//!   its record's name tables. So "merge" stops being an operation: point
+//!   two engines at the same pile and the union is just what it contains.
 //! * [`SPACE_RECORD_KIND`] — a [`SpaceLibrary`] of candidate-space
 //!   snapshots ([`PileStore::load_spaces`]: per space key, the snapshot
 //!   with the most levels wins).
 //!
+//! [`PileStore::records`] is the one reader: one read splits the payloads
+//! by kind, so cache and spaces come from one snapshot of the pile.
 //! [`PileStore::append_run`] is the one writer both the CLI and the daemon
 //! call after a run. The import bridge ([`PileStore::append_cache_bytes`],
 //! [`PileStore::append_space_bytes`]) folds legacy `VCAPCACH` / `VCAPSLIB`
@@ -31,8 +33,7 @@
 use crate::cache::VerdictCache;
 use crate::engine::Engine;
 use crate::persist::{
-    compact_cache_bytes, merge_cache_bytes, save_cache, validate_cache_bytes, CompactReport,
-    MergeReport,
+    merge_cache_bytes, save_cache, validate_cache_bytes, CompactReport, MergeReport, Union,
 };
 use crate::spacestore::SpaceLibrary;
 use std::fmt;
@@ -153,39 +154,34 @@ impl PileStore {
         Ok(entries)
     }
 
-    /// The payloads of the pile's records of `kind`, in append order.
+    /// Read the pile once: the payloads split by kind, in append order.
     /// Other kinds are skipped (future formats may ride the same pile).
-    fn payloads(&mut self, kind: u8) -> Result<Vec<Vec<u8>>, PileStoreError> {
-        let records = self.pile.records()?.into_iter();
-        Ok(records
-            .filter(|r| r.kind == kind)
-            .map(|r| r.payload)
-            .collect())
-    }
-
-    /// Merge every cache record into one canonical v2 cache file —
-    /// byte-identical to [`merge_cache_bytes`] over the same snapshots in
-    /// the same order. An empty pile merges to an empty cache file.
-    pub fn merged_bytes(&mut self) -> Result<(Vec<u8>, MergeReport), PileStoreError> {
-        Ok(merge_cache_bytes(&self.payloads(CACHE_RECORD_KIND)?)?)
-    }
-
-    /// Load the pile's union verdict set as a cache bounded by
-    /// `max_entries` (`None` = unbounded), ready for
-    /// [`crate::EngineConfig::shared_cache`]. Entries load `foreign` and
-    /// translate into the live catalog on first hit.
-    pub fn load(&mut self, max_entries: Option<usize>) -> Result<VerdictCache, PileStoreError> {
-        let payloads = self.payloads(CACHE_RECORD_KIND)?;
-        if payloads.is_empty() {
-            return Ok(VerdictCache::bounded(max_entries));
+    pub fn records(&mut self) -> Result<PileRecords, PileStoreError> {
+        let mut out = PileRecords::default();
+        for record in self.pile.records()? {
+            match record.kind {
+                CACHE_RECORD_KIND => out.cache.push(record.payload),
+                SPACE_RECORD_KIND => out.spaces.push(record.payload),
+                _ => {}
+            }
         }
-        let (merged, _) = merge_cache_bytes(&payloads)?;
-        Ok(crate::persist::load_cache(&merged, max_entries)?)
+        Ok(out)
+    }
+
+    /// [`merge_cache_bytes`] over the cache records in append order; an
+    /// empty pile merges to an empty cache file.
+    pub fn merged_bytes(&mut self) -> Result<(Vec<u8>, MergeReport), PileStoreError> {
+        Ok(merge_cache_bytes(&self.records()?.cache)?)
+    }
+
+    /// [`PileRecords::load`] over a fresh read of the pile.
+    pub fn load(&mut self, max_entries: Option<usize>) -> Result<VerdictCache, PileStoreError> {
+        self.records()?.load(max_entries)
     }
 
     /// Number of cache records currently in the pile.
     pub fn record_count(&mut self) -> Result<usize, PileStoreError> {
-        Ok(self.payloads(CACHE_RECORD_KIND)?.len())
+        Ok(self.records()?.cache.len())
     }
 
     /// Append a candidate-space library as one record (a complete
@@ -207,20 +203,9 @@ impl PileStore {
         Ok(entries)
     }
 
-    /// The union of every space record, merged in append order (per space
-    /// key, the snapshot with the most levels wins). An empty or
-    /// space-record-free pile loads an empty library.
+    /// [`PileRecords::load_spaces`] over a fresh read of the pile.
     pub fn load_spaces(&mut self) -> Result<SpaceLibrary, PileStoreError> {
-        let mut out = SpaceLibrary::new();
-        for payload in self.payloads(SPACE_RECORD_KIND)? {
-            out.merge(SpaceLibrary::from_bytes(&payload)?);
-        }
-        Ok(out)
-    }
-
-    /// Number of space records currently in the pile.
-    pub fn space_record_count(&mut self) -> Result<usize, PileStoreError> {
-        Ok(self.payloads(SPACE_RECORD_KIND)?.len())
+        self.records()?.load_spaces()
     }
 
     /// Write this pile's merged state to a new pile at `out`: one cache
@@ -234,9 +219,9 @@ impl PileStore {
         out: &Path,
         max_entries: Option<usize>,
     ) -> Result<(CompactReport, usize), PileStoreError> {
-        let (merged, _) = self.merged_bytes()?;
-        let (cache, report) = compact_cache_bytes(&merged, max_entries)?;
-        let spaces = self.load_spaces()?;
+        let records = self.records()?;
+        let (cache, report) = Union::of(&records.cache)?.compact(max_entries);
+        let spaces = records.load_spaces()?;
         OpenOptions::new()
             .write(true)
             .create_new(true)
@@ -248,6 +233,36 @@ impl PileStore {
         }
         target.append_spaces(&spaces)?;
         Ok((report, spaces.len()))
+    }
+}
+
+/// A pile's payloads by record kind, from one read ([`PileStore::records`]).
+/// Each kind decodes on its own, so a caller may tolerate bad space records.
+#[derive(Debug, Default)]
+pub struct PileRecords {
+    /// Cache-record payloads (whole cache files), in append order.
+    pub cache: Vec<Vec<u8>>,
+    /// Space-record payloads (whole space libraries), in append order.
+    pub spaces: Vec<Vec<u8>>,
+}
+
+impl PileRecords {
+    /// The cache records' union verdict set as a cache bounded by
+    /// `max_entries` (`None` = unbounded; the last entries in key order are
+    /// kept), ready for [`crate::EngineConfig::shared_cache`]. Entries load
+    /// `foreign` and translate into the live catalog on first hit.
+    pub fn load(&self, max_entries: Option<usize>) -> Result<VerdictCache, PileStoreError> {
+        Ok(Union::of(&self.cache)?.into_cache(max_entries))
+    }
+
+    /// The union of every space record, merged in append order (per space
+    /// key, the snapshot with the most levels wins).
+    pub fn load_spaces(&self) -> Result<SpaceLibrary, PileStoreError> {
+        let mut out = SpaceLibrary::new();
+        for payload in &self.spaces {
+            out.merge(SpaceLibrary::from_bytes(payload)?);
+        }
+        Ok(out)
     }
 }
 
@@ -404,7 +419,7 @@ mod tests {
         // Cache loads skip space records; space loads skip cache records.
         let mut reader = PileStore::open(&path).unwrap();
         assert_eq!(reader.record_count().unwrap(), 1);
-        assert_eq!(reader.space_record_count().unwrap(), 2);
+        assert_eq!(reader.records().unwrap().spaces.len(), 2);
         assert_eq!(reader.load(None).unwrap().stats().entries, 1);
         let merged = reader.load_spaces().unwrap();
         assert_eq!(merged.len(), 2);

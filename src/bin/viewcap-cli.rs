@@ -177,13 +177,13 @@ fn open_pile(path: &Path) -> Result<PileStore, String> {
 
 /// One line describing a pile: its records by kind and what they merge to.
 fn pile_stats(store: &mut PileStore) -> Result<String, PileStoreError> {
-    let (_, merged) = store.merged_bytes()?;
+    let records = store.records()?;
     Ok(format!(
         "{} cache record(s), {} space record(s); merged: {} verdict(s), {} space(s)",
-        store.record_count()?,
-        store.space_record_count()?,
-        merged.entries_out,
-        store.load_spaces()?.len()
+        records.cache.len(),
+        records.spaces.len(),
+        records.load(None)?.stats().entries,
+        records.load_spaces()?.len()
     ))
 }
 

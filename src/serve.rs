@@ -59,7 +59,8 @@ use std::time::Duration;
 
 use crate::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_engine::{
-    effective_jobs, Engine, EngineConfig, Lru, PileStore, SpaceLibrary, VerdictCache,
+    effective_jobs, Engine, EngineConfig, Lru, PileRecords, PileStore, PileStoreError,
+    SpaceLibrary, VerdictCache,
 };
 
 /// Longest header line either side reads, newline included. A `RUN`
@@ -170,19 +171,16 @@ impl Daemon {
         if let Some(state) = warm.get(key) {
             return Ok(state.clone());
         }
-        let (cache, spaces) = match &self.pile {
-            Some(pile) => {
-                let mut pile = pile.lock().expect("pile lock");
-                let cache = pile
-                    .load(self.cache_max)
-                    .map_err(|e| ServeError::Pile(e.to_string()))?;
-                (cache, pile.load_spaces().unwrap_or_default())
-            }
-            None => (VerdictCache::bounded(self.cache_max), SpaceLibrary::new()),
+        // No pile loads like an empty one: a fresh bounded cache, no spaces.
+        let records = match &self.pile {
+            Some(pile) => pile.lock().expect("pile lock").records(),
+            None => Ok(PileRecords::default()),
         };
+        let pile_err = |e: PileStoreError| ServeError::Pile(e.to_string());
+        let records = records.map_err(pile_err)?;
         let state = Warm {
-            cache: Arc::new(cache),
-            spaces: Arc::new(Mutex::new(spaces)),
+            cache: Arc::new(records.load(self.cache_max).map_err(pile_err)?),
+            spaces: Arc::new(Mutex::new(records.load_spaces().unwrap_or_default())),
         };
         warm.insert(key.to_owned(), state.clone());
         while warm.len() > MAX_WARM_KEYS {
@@ -248,14 +246,13 @@ impl Daemon {
             body.push_str(&format!("spaces[{key}]: {} space(s)\n", library.len()));
         }
         if let Some(pile) = &self.pile {
-            let mut pile = pile.lock().expect("pile lock");
-            match pile.record_count() {
-                Ok(n) => body.push_str(&format!("pile records: {n}\n")),
-                Err(e) => body.push_str(&format!("pile: {e}\n")),
-            }
-            match pile.space_record_count() {
-                Ok(n) => body.push_str(&format!("pile space records: {n}\n")),
-                Err(e) => body.push_str(&format!("pile spaces: {e}\n")),
+            match pile.lock().expect("pile lock").records() {
+                Ok(records) => body.push_str(&format!(
+                    "pile records: {}\npile space records: {}\n",
+                    records.cache.len(),
+                    records.spaces.len()
+                )),
+                Err(e) => body.push_str(&format!("pile: {e}\npile spaces: {e}\n")),
             }
         }
         body
