@@ -38,7 +38,7 @@
 //! ## Fleet operations
 //!
 //! Every reader parses each file, folds it into a last-writer-wins
-//! [`Union`] keyed by fingerprint, and takes the union's tail (its last
+//! `Union` keyed by fingerprint, and takes the union's tail (its last
 //! `max` entries in key order): [`load_cache`] and
 //! [`crate::PileRecords::load`] insert the tail into a cache;
 //! [`merge_cache_bytes`], [`compact_cache_bytes`] and `pile compact`
