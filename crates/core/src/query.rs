@@ -11,12 +11,21 @@
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
-use viewcap_base::{Catalog, Instantiation, RelId, Relation, Scheme};
+use viewcap_base::{AttrId, Catalog, Instantiation, RelId, Relation, Scheme};
 use viewcap_expr::Expr;
 use viewcap_template::{
     canonical_key, canonical_key_with, equivalent_templates, eval_template, join_templates,
     project_template, reduce, template_of_expr, CanonKey, KeyLabels, Template, TemplateError,
 };
+
+/// The value `table` (sorted by key) holds for `id`, which the caller
+/// knows is present.
+fn lookup<K: Ord + Copy, V: Copy>(table: &[(K, V)], id: K) -> V {
+    let i = table
+        .binary_search_by_key(&id, |&(k, _)| k)
+        .expect("id is mentioned by the template");
+    table[i].1
+}
 
 /// An expression mapping: a query of a database schema.
 #[derive(Clone, Debug)]
@@ -101,7 +110,10 @@ impl Query {
     /// Tuples are labeled by relation *content digests*
     /// ([`Catalog::rel_digest`]) and rows traversed in attribute *name*
     /// order, so two catalogs declaring the same relations in any order
-    /// assign equal keys to equal query content. Memoized like
+    /// assign equal keys to equal query content. Only the relations and
+    /// attributes the template mentions are digested and ranked, so the
+    /// cost follows the query, not the catalog: unrelated relations and
+    /// attributes never enter the computation. Memoized like
     /// [`Query::canonical_key`]; a query is bound to the catalog it was
     /// built against (its template embeds that catalog's ids), and the key
     /// is stable under later growth of that same catalog, so one memo cell
@@ -111,24 +123,29 @@ impl Query {
     /// that is wrong for the new catalog.
     pub fn content_key(&self, catalog: &Catalog) -> &CanonKey {
         let (mentioned, key) = self.content.get_or_init(|| {
-            let digests: Vec<u128> = catalog
-                .relations()
-                .map(|r| catalog.rel_digest(r).as_u128())
-                .collect();
-            let ranks = catalog.attr_name_ranks();
-            let key = canonical_key_with(
-                &self.template,
-                &KeyLabels {
-                    rel_label: &|r| digests[r.index()],
-                    attr_rank: &|a| ranks[a.index()] as u64,
-                },
-            );
-            let mentioned = self
+            // Sorted by id (`rel_names` is a set), so labels are a binary
+            // search away.
+            let mentioned: Vec<(RelId, u128)> = self
                 .template
                 .rel_names()
                 .into_iter()
-                .map(|r| (r, digests[r.index()]))
+                .map(|r| (r, catalog.rel_digest(r).as_u128()))
                 .collect();
+            // Rank the template's own attributes by name; only their
+            // relative order reaches the key (see `KeyLabels`).
+            let mut attrs: Vec<AttrId> = self.template.symbols().map(|s| s.attr()).collect();
+            attrs.sort_unstable();
+            attrs.dedup();
+            attrs.sort_unstable_by_key(|&a| catalog.attr_name(a));
+            let mut ranks: Vec<(AttrId, u64)> = (0u64..).zip(attrs).map(|(i, a)| (a, i)).collect();
+            ranks.sort_unstable();
+            let key = canonical_key_with(
+                &self.template,
+                &KeyLabels {
+                    rel_label: &|r| lookup(&mentioned, r),
+                    attr_rank: &|a| lookup(&ranks, a),
+                },
+            );
             (mentioned, key)
         });
         debug_assert!(
@@ -270,6 +287,138 @@ mod tests {
         let mut cat = Catalog::new();
         cat.relation("R", &["A", "B", "C"]).unwrap();
         cat
+    }
+
+    /// The content key as labeled from the whole catalog: every
+    /// relation's digest and every interned attribute's name rank.
+    fn whole_catalog_key(q: &Query, cat: &Catalog) -> CanonKey {
+        let digests: Vec<u128> = cat
+            .relations()
+            .map(|r| cat.rel_digest(r).as_u128())
+            .collect();
+        let ranks = cat.attr_name_ranks();
+        canonical_key_with(
+            q.template(),
+            &KeyLabels {
+                rel_label: &|r| digests[r.index()],
+                attr_rank: &|a| ranks[a.index()] as u64,
+            },
+        )
+    }
+
+    /// A random expression from a xorshift stream: relation leaves, binary
+    /// joins and proper projections, evaluated as a stack program.
+    fn random_expr(cat: &Catalog, rels: &[RelId], state: &mut u64) -> Expr {
+        let mut next = || {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state as usize
+        };
+        let mut stack: Vec<Expr> = Vec::new();
+        for _ in 0..1 + next() % 9 {
+            let op = next();
+            match op % 4 {
+                0 | 1 => stack.push(Expr::rel(rels[op / 4 % rels.len()])),
+                2 if stack.len() >= 2 => {
+                    let b = stack.pop().unwrap();
+                    let a = stack.pop().unwrap();
+                    stack.push(Expr::join(vec![a, b]).unwrap());
+                }
+                3 if !stack.is_empty() => {
+                    let e = stack.pop().unwrap();
+                    let trs = e.trs(cat);
+                    let mask = op / 4;
+                    let keep: Vec<_> = (0..trs.len())
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| trs.iter().nth(i).unwrap())
+                        .collect();
+                    stack.push(if keep.is_empty() || keep.len() == trs.len() {
+                        e
+                    } else {
+                        Expr::project(e, Scheme::new(keep).unwrap(), cat).unwrap()
+                    });
+                }
+                _ => {}
+            }
+        }
+        stack.pop().unwrap_or(Expr::rel(rels[0]))
+    }
+
+    #[test]
+    fn content_key_matches_the_whole_catalog_labeling() {
+        // Attribute ids follow interning order, which disagrees with name
+        // order here, so ranking only the mentioned attributes must still
+        // reproduce the whole catalog's relative order.
+        let mut cat = Catalog::new();
+        let mut rels = vec![
+            cat.relation("S", &["Q", "C"]).unwrap(),
+            cat.relation("R", &["M", "B", "Z"]).unwrap(),
+            cat.relation("T", &["B", "Q"]).unwrap(),
+            cat.relation("U", &["Z", "M", "A"]).unwrap(),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..300 {
+            let q = Query::from_expr(random_expr(&cat, &rels, &mut state), &cat);
+            assert_eq!(q.content_key(&cat), &whole_catalog_key(&q, &cat));
+        }
+        // Chains Cᵢ(Xᵢ, Xᵢ₊₁) with names that sort against the chain order.
+        let names = ["X3", "X1", "X4", "X0", "X2", "X5"];
+        rels.clear();
+        for (i, pair) in names.windows(2).enumerate() {
+            rels.push(cat.relation(&format!("C{i}"), pair).unwrap());
+        }
+        for len in 1..rels.len() {
+            for start in 0..rels.len() - len + 1 {
+                let chain = (start..start + len)
+                    .map(|i| format!("C{i}"))
+                    .collect::<Vec<_>>()
+                    .join(" * ");
+                let ends = format!("{},{}", names[start], names[start + len]);
+                for src in [chain.clone(), format!("pi{{{ends}}}({chain})")] {
+                    let q = Query::from_expr(parse_expr(&src, &cat).unwrap(), &cat);
+                    assert_eq!(q.content_key(&cat), &whole_catalog_key(&q, &cat), "{src}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn content_key_ignores_unrelated_catalog_growth() {
+        // The query mentions attributes B, K, Q; unrelated relations bring
+        // names that sort before (A0…, AA…), between (C5…, M1…) and after
+        // (Z9…) them, half declared before the query's relations and half
+        // after.
+        let build = |extra: usize| {
+            let mut cat = Catalog::new();
+            let prefixes = ["A0", "AA", "C5", "M1", "Z9"];
+            let declare = |cat: &mut Catalog, i: usize| {
+                let a = format!("{}{i}", prefixes[i % 5]);
+                let b = format!("{}{i}", prefixes[(i + 2) % 5]);
+                cat.relation(&format!("X{i}"), &[&a, &b]).unwrap();
+            };
+            for i in 0..extra / 2 {
+                declare(&mut cat, i);
+            }
+            cat.relation("S", &["Q", "K"]).unwrap();
+            cat.relation("R", &["K", "B"]).unwrap();
+            for i in extra / 2..extra {
+                declare(&mut cat, i);
+            }
+            let srcs = ["R * S", "pi{B,Q}(R * S)", "pi{K}(S) * R"];
+            let queries: Vec<Query> = srcs
+                .iter()
+                .map(|src| Query::from_expr(parse_expr(src, &cat).unwrap(), &cat))
+                .collect();
+            (cat, queries)
+        };
+        let (small, small_qs) = build(2);
+        let (large, large_qs) = build(500);
+        assert_eq!(large.rel_count(), 502);
+        for (s, l) in small_qs.iter().zip(&large_qs) {
+            assert_eq!(s.content_key(&small), l.content_key(&large));
+            assert_eq!(l.content_key(&large), &whole_catalog_key(l, &large));
+        }
     }
 
     #[test]
