@@ -57,6 +57,12 @@ pub struct DeltaOutcome {
     pub reused: usize,
     /// Requests re-posed to the engine (dirty or never decided).
     pub recomputed: usize,
+    /// Standing positions of the re-posed requests, ascending. Every other
+    /// entry of `results` is the retained decision that position held
+    /// before the run, unchanged — so a caller that kept a rendering per
+    /// position (the scenario runner's stored report lines) only has to
+    /// refresh these.
+    pub recomputed_at: Vec<usize>,
     /// Of the re-posed distinct classes, how many the verdict cache still
     /// answered (e.g. a reverted edit, or cross-view sharing).
     pub cache_hits: usize,
@@ -326,6 +332,7 @@ impl DeltaWorkload {
             total: self.standing.len(),
             reused: self.standing.len() - dirty.len(),
             recomputed: dirty.len(),
+            recomputed_at: dirty,
             cache_hits: batch.cache_hits,
             executed: batch.executed,
         }

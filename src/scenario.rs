@@ -201,6 +201,9 @@ struct Runner<'a> {
     report: String,
     yes: usize,
     no: usize,
+    /// Each standing check's rendered line and YES flag, indexed by its
+    /// position in `delta` (positions only append or update in place).
+    standing_lines: Vec<(String, bool)>,
     /// Armed by `catalog permute SEED`: the initial run of `rel`
     /// declarations is buffered and declared in a seed-determined order.
     permute_seed: Option<u64>,
@@ -241,6 +244,7 @@ pub fn run_scenario_with_engine(
         report: String::new(),
         yes: 0,
         no: 0,
+        standing_lines: Vec::new(),
         permute_seed: None,
         rel_buffer: Vec::new(),
     };
@@ -330,6 +334,31 @@ pub fn run_scenario_with_engine(
         metrics: viewcap_obs::snapshot(),
         catalog: runner.catalog,
     })
+}
+
+/// The report line for one decided check, and whether it answered yes —
+/// the one rendering `check`, `batch` and `recheck` share.
+fn render_check(
+    catalog: &Catalog,
+    label: &str,
+    check: &Check,
+    decision: &Decision,
+) -> (String, bool) {
+    match (&*decision.verdict, check) {
+        (Verdict::Member(Some(proof)), Check::Member { view, .. }) => {
+            let names: Vec<RelId> = decision
+                .member_witness_names(view, catalog)
+                .unwrap_or_else(|| view.schema());
+            let skel = proof.skeleton_with_names(&names);
+            let line = format!("{label}: YES via {}", display_expr(&skel, catalog));
+            (line, true)
+        }
+        (verdict, _) => {
+            let yes = verdict.is_yes();
+            let answer = if yes { "YES" } else { "NO" };
+            (format!("{label}: {answer}"), yes)
+        }
+    }
 }
 
 /// Collect nonempty lines (with 1-based line numbers) up to the closing
@@ -581,22 +610,30 @@ impl Runner<'_> {
         }
     }
 
-    /// Append the report line for one decided check.
-    fn record_decision(&mut self, label: &str, check: &Check, decision: &Decision) {
-        match (&*decision.verdict, check) {
-            (Verdict::Member(Some(proof)), Check::Member { view, .. }) => {
-                let names: Vec<RelId> = decision
-                    .member_witness_names(view, &self.catalog)
-                    .unwrap_or_else(|| view.schema());
-                let skel = proof.skeleton_with_names(&names);
-                let _ = writeln!(
-                    self.report,
-                    "{label}: YES via {}",
-                    display_expr(&skel, &self.catalog)
-                );
-                self.yes += 1;
-            }
-            (verdict, _) => self.record_bool(label, verdict.is_yes()),
+    /// Append one report line and count its answer.
+    fn emit(&mut self, line: &str, yes: bool) {
+        self.report.push_str(line);
+        self.report.push('\n');
+        if yes {
+            self.yes += 1;
+        } else {
+            self.no += 1;
+        }
+    }
+
+    /// Report a freshly decided check and enter it into the standing
+    /// workload, storing its rendered line at its standing position so
+    /// `recheck` can write it again without re-rendering.
+    fn record_standing(&mut self, label: String, check: Check, decision: Decision) {
+        let (line, yes) = render_check(&self.catalog, &label, &check, &decision);
+        self.emit(&line, yes);
+        let i = self
+            .delta
+            .push_decided(label, check, decision, &self.catalog);
+        if i == self.standing_lines.len() {
+            self.standing_lines.push((line, yes));
+        } else {
+            self.standing_lines[i] = (line, yes);
         }
     }
 
@@ -606,9 +643,7 @@ impl Runner<'_> {
             .engine
             .decide(&check, &self.catalog)
             .map_err(|e| e.to_string())?;
-        self.record_decision(&label, &check, &decision);
-        self.delta
-            .push_decided(label, check, decision, &self.catalog);
+        self.record_standing(label, check, decision);
         Ok(())
     }
 
@@ -633,16 +668,10 @@ impl Runner<'_> {
         // the failing check's own line.
         for ((lineno, _), (request, result)) in body
             .iter()
-            .zip(workload.requests.iter().zip(&outcome.results))
+            .zip(workload.requests.into_iter().zip(outcome.results))
         {
-            let decision = result.as_ref().map_err(|e| (*lineno, e.to_string()))?;
-            self.record_decision(&request.label, &request.check, decision);
-            self.delta.push_decided(
-                request.label.clone(),
-                request.check.clone(),
-                decision.clone(),
-                &self.catalog,
-            );
+            let decision = result.map_err(|e| (*lineno, e.to_string()))?;
+            self.record_standing(request.label, request.check, decision);
         }
         let _ = writeln!(
             self.report,
@@ -849,32 +878,36 @@ impl Runner<'_> {
 
     /// Re-decide the standing workload: reuse retained decisions, re-pose
     /// only the checks invalidated by `edit` blocks.
+    ///
+    /// Every standing position holds the line its check last rendered to
+    /// (`standing_lines`). A reused decision is unchanged, and so are its
+    /// operand views and the catalog names it prints, so its stored line is
+    /// exactly what rendering it again would produce; only the positions
+    /// the run recomputed ([`viewcap_engine::DeltaOutcome::recomputed_at`])
+    /// are rendered again before every stored line is written.
     fn cmd_recheck(&mut self) -> Result<(), String> {
         let outcome = self.delta.run(self.engine, &self.catalog, self.jobs);
-        let requests: Vec<Request> = self.delta.requests().cloned().collect();
-        for (request, result) in requests.iter().zip(&outcome.results) {
-            let decision = result.as_ref().map_err(|e| e.to_string())?;
-            self.record_decision(&request.label, &request.check, decision);
+        let requests: Vec<&Request> = self.delta.requests().collect();
+        for &i in &outcome.recomputed_at {
+            let decision = outcome.results[i].as_ref().map_err(|e| e.to_string())?;
+            let request = requests[i];
+            self.standing_lines[i] =
+                render_check(&self.catalog, &request.label, &request.check, decision);
         }
+        let mut yes = 0;
+        for (line, line_yes) in &self.standing_lines {
+            self.report.push_str(line);
+            self.report.push('\n');
+            yes += usize::from(*line_yes);
+        }
+        self.yes += yes;
+        self.no += self.standing_lines.len() - yes;
         let _ = writeln!(
             self.report,
             "recheck: {} check(s), {} reused, {} recomputed ({} from verdict cache, {} executed)",
             outcome.total, outcome.reused, outcome.recomputed, outcome.cache_hits, outcome.executed
         );
         Ok(())
-    }
-
-    fn record_bool(&mut self, what: &str, outcome: bool) {
-        let _ = writeln!(
-            self.report,
-            "{what}: {}",
-            if outcome { "YES" } else { "NO" }
-        );
-        if outcome {
-            self.yes += 1;
-        } else {
-            self.no += 1;
-        }
     }
 
     fn cmd_nonredundant(&mut self, rest: &str) -> Result<(), String> {
@@ -1084,6 +1117,72 @@ check member V R
         // After the edit, V2's pair was re-minted as Y$1 (R's scheme differs
         // from Y's), and the witness follows.
         assert_eq!(count("check member V2 pi{A}(R): YES via pi{A}(Y$1)"), 1);
+    }
+
+    #[test]
+    fn recheck_writes_each_standing_line_as_last_rendered() {
+        // Each `recheck` writes the stored line of a reused check and
+        // renders only recomputed ones. Every recheck line must equal what
+        // a fresh `check` prints at that point, which renders anew.
+        // 1. An edit dirties the standing check, and re-posing it (same
+        //    label, same operands) through `check` decides it again: the
+        //    stored line is refreshed in place, so the reusing recheck
+        //    prints the new witness, not the pre-edit one.
+        // 2. The same through `batch`.
+        // 3. An edit followed directly by `recheck`: the recomputed check
+        //    prints its new witness name.
+        let goal = "check member V pi{A}(R)";
+        let src = format!(
+            "rel R(A, B)\n\
+             view V {{\n  X = R\n}}\n\
+             {goal}\n\
+             edit V {{\n  X = pi{{A}}(R)\n}}\n\
+             {goal}\n\
+             recheck\n\
+             edit V {{\n  X = R\n}}\n\
+             batch {{\n  {goal}\n}}\n\
+             recheck\n\
+             edit V {{\n  X = pi{{A}}(R)\n}}\n\
+             recheck\n\
+             {goal}\n"
+        );
+        let out = run_scenario(&src).unwrap();
+        let lines: Vec<&str> = out.report.lines().collect();
+        let answers: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|l| l.starts_with(goal))
+            .collect();
+        assert_eq!(
+            answers,
+            [
+                "check member V pi{A}(R): YES via pi{A}(X)",
+                "check member V pi{A}(R): YES via X$1",
+                "check member V pi{A}(R): YES via X$1",
+                "check member V pi{A}(R): YES via pi{A}(X)",
+                "check member V pi{A}(R): YES via pi{A}(X)",
+                "check member V pi{A}(R): YES via X$2",
+                "check member V pi{A}(R): YES via X$2",
+            ],
+            "report:\n{}",
+            out.report
+        );
+        let rechecks: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|l| l.starts_with("recheck:"))
+            .collect();
+        assert_eq!(
+            rechecks,
+            [
+                "recheck: 1 check(s), 1 reused, 0 recomputed (0 from verdict cache, 0 executed)",
+                "recheck: 1 check(s), 1 reused, 0 recomputed (0 from verdict cache, 0 executed)",
+                "recheck: 1 check(s), 0 reused, 1 recomputed (1 from verdict cache, 0 executed)",
+            ],
+            "report:\n{}",
+            out.report
+        );
+        assert_eq!((out.yes, out.no), (7, 0));
     }
 
     #[test]
