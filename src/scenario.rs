@@ -894,14 +894,11 @@ impl Runner<'_> {
             self.standing_lines[i] =
                 render_check(&self.catalog, &request.label, &request.check, decision);
         }
-        let mut yes = 0;
-        for (line, line_yes) in &self.standing_lines {
-            self.report.push_str(line);
-            self.report.push('\n');
-            yes += usize::from(*line_yes);
+        let lines = std::mem::take(&mut self.standing_lines);
+        for (line, yes) in &lines {
+            self.emit(line, *yes);
         }
-        self.yes += yes;
-        self.no += self.standing_lines.len() - yes;
+        self.standing_lines = lines;
         let _ = writeln!(
             self.report,
             "recheck: {} check(s), {} reused, {} recomputed ({} from verdict cache, {} executed)",
