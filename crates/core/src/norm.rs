@@ -222,7 +222,7 @@ impl NormContext {
         let mut classes: Vec<Query> = Vec::new();
         let mut buckets: HashMap<CanonKey, Vec<usize>> = HashMap::new();
         let mut intern = |q: &Query, classes: &mut Vec<Query>| -> usize {
-            let ids = buckets.entry(q.canonical_key().clone()).or_default();
+            let ids = buckets.entry(q.content_key(catalog).clone()).or_default();
             if let Some(&c) = ids.iter().find(|&&c| classes[c].equiv(q)) {
                 return c;
             }
@@ -284,7 +284,7 @@ impl NormContext {
     /// Every query the pipeline produces is equivalent to a universe member
     /// (Theorem 4.2.1); callers must only pass such queries.
     pub fn class_of(&self, q: &Query) -> usize {
-        if let Some(ids) = self.buckets.get(q.canonical_key()) {
+        if let Some(ids) = self.buckets.get(q.content_key(&self.catalog)) {
             if let Some(&c) = ids.iter().find(|&&c| self.classes[c].equiv(q)) {
                 return c;
             }

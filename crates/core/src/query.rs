@@ -14,8 +14,8 @@ use std::sync::OnceLock;
 use viewcap_base::{AttrId, Catalog, Instantiation, RelId, Relation, Scheme};
 use viewcap_expr::Expr;
 use viewcap_template::{
-    canonical_key, canonical_key_with, equivalent_templates, eval_template, join_templates,
-    project_template, reduce, template_of_expr, CanonKey, KeyLabels, Template, TemplateError,
+    canonical_key_with, equivalent_templates, eval_template, join_templates, project_template,
+    reduce, template_of_expr, CanonKey, KeyLabels, Template, TemplateError,
 };
 
 /// The value `table` (sorted by key) holds for `id`, which the caller
@@ -34,11 +34,6 @@ pub struct Query {
     template: Template,
     /// Expression provenance, when the query was built from an expression.
     expr: Option<Expr>,
-    /// Lazily computed canonical key (the permutation search in
-    /// `canonical_key` is the expensive part of fingerprinting; computing
-    /// it once per `Query` object — and once per *lineage*, since clones
-    /// copy a filled cell — is ROADMAP's "cache per-Query keys" item).
-    canon: OnceLock<CanonKey>,
     /// Lazily computed *content* key plus, for the debug-mode misuse
     /// guard, the content digests of the relations the template mentions
     /// at the time the key was computed (see [`Query::content_key`]).
@@ -52,7 +47,6 @@ impl Query {
         Query {
             template,
             expr: Some(expr),
-            canon: OnceLock::new(),
             content: OnceLock::new(),
         }
     }
@@ -62,7 +56,6 @@ impl Query {
         Query {
             template: reduce(template),
             expr: None,
-            canon: OnceLock::new(),
             content: OnceLock::new(),
         }
     }
@@ -92,20 +85,12 @@ impl Query {
         equivalent_templates(&self.template, &other.template)
     }
 
-    /// Isomorphism-invariant canonical key of the reduced template — the
-    /// canonicalization hook behind `viewcap-engine`'s fingerprints.
-    ///
-    /// Equal keys imply equivalent queries (isomorphic reduced templates
-    /// denote the same mapping); the converse holds whenever the key is
-    /// exact. Computed once per query and memoized (clones inherit the
-    /// memo).
-    pub fn canonical_key(&self) -> &CanonKey {
-        self.canon.get_or_init(|| canonical_key(&self.template))
-    }
-
     /// Catalog-content-addressed canonical key of the reduced template —
     /// the canonicalization behind `viewcap-engine`'s persistent
-    /// fingerprints.
+    /// fingerprints, and the key `NormContext` buckets its classes by.
+    /// Equal keys imply equivalent queries (isomorphic reduced templates
+    /// denote the same mapping); the converse holds whenever the key is
+    /// exact.
     ///
     /// Tuples are labeled by relation *content digests*
     /// ([`Catalog::rel_digest`]) and rows traversed in attribute *name*
@@ -113,14 +98,14 @@ impl Query {
     /// assign equal keys to equal query content. Only the relations and
     /// attributes the template mentions are digested and ranked, so the
     /// cost follows the query, not the catalog: unrelated relations and
-    /// attributes never enter the computation. Memoized like
-    /// [`Query::canonical_key`]; a query is bound to the catalog it was
-    /// built against (its template embeds that catalog's ids), and the key
-    /// is stable under later growth of that same catalog, so one memo cell
-    /// suffices. Debug builds assert that precondition: passing a catalog
-    /// that assigns the mentioned relations *different content* than the
-    /// memoized call's catalog panics instead of silently returning a key
-    /// that is wrong for the new catalog.
+    /// attributes never enter the computation. Computed once per query and
+    /// memoized (clones inherit the memo); a query is bound to the catalog
+    /// it was built against (its template embeds that catalog's ids), and
+    /// the key is stable under later growth of that same catalog, so one
+    /// memo cell suffices. Debug builds assert that precondition: passing a
+    /// catalog that assigns the mentioned relations *different content*
+    /// than the memoized call's catalog panics instead of silently
+    /// returning a key that is wrong for the new catalog.
     pub fn content_key(&self, catalog: &Catalog) -> &CanonKey {
         let (mentioned, key) = self.content.get_or_init(|| {
             // Sorted by id (`rel_names` is a set), so labels are a binary
@@ -176,7 +161,6 @@ impl Query {
         Ok(Query {
             template,
             expr,
-            canon: OnceLock::new(),
             content: OnceLock::new(),
         })
     }
@@ -191,7 +175,6 @@ impl Query {
         Query {
             template,
             expr,
-            canon: OnceLock::new(),
             content: OnceLock::new(),
         }
     }

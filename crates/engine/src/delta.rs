@@ -279,30 +279,6 @@ impl DeltaWorkload {
         invalidated
     }
 
-    /// Remove every standing request that touches `view` (a view being
-    /// dropped from the catalog). Returns how many were removed.
-    pub fn remove_view(&mut self, view: &View, catalog: &Catalog) -> usize {
-        let fp = view_fingerprint(view, catalog);
-        let before = self.standing.len();
-        self.standing.retain(|s| {
-            !(s.view_deps.contains(&fp)
-                && s.request
-                    .check
-                    .views()
-                    .any(|v| same_view(v, fp, view, catalog)))
-        });
-        // Removal shifts indices; rebuild the upsert index.
-        let mut index: HashMap<(CacheKey, String), Vec<usize>> = HashMap::new();
-        for (i, s) in self.standing.iter().enumerate() {
-            index
-                .entry((s.key, s.request.label.clone()))
-                .or_default()
-                .push(i);
-        }
-        self.index = index;
-        before - self.standing.len()
-    }
-
     /// Decide the standing workload: re-pose only the dirty requests as one
     /// batch (deduplicated, cache-resolved, parallel across `jobs`
     /// workers), reuse every retained decision, and return the full
@@ -312,12 +288,11 @@ impl DeltaWorkload {
             .filter(|&i| self.standing[i].decision.is_none())
             .collect();
 
-        let mut sub = Workload::new();
-        for &i in &dirty {
-            let r = &self.standing[i].request;
-            sub.push(r.label.clone(), r.check.clone());
-        }
-        let batch = engine.run_batch(&sub, catalog, jobs);
+        let checks: Vec<&Check> = dirty
+            .iter()
+            .map(|&i| &self.standing[i].request.check)
+            .collect();
+        let batch = engine.run_checks(&checks, catalog, jobs);
         for (&i, result) in dirty.iter().zip(batch.results) {
             self.standing[i].decision = Some(result);
         }

@@ -796,8 +796,13 @@ impl Engine {
     }
 
     /// [`Engine::run_batch`] over borrowed checks, so [`Engine::decide`]
-    /// runs one without cloning it.
-    fn run_checks(&self, checks: &[&Check], catalog: &Catalog, jobs: usize) -> BatchOutcome {
+    /// and [`crate::DeltaWorkload::run`] pose checks without cloning them.
+    pub(crate) fn run_checks(
+        &self,
+        checks: &[&Check],
+        catalog: &Catalog,
+        jobs: usize,
+    ) -> BatchOutcome {
         let total = checks.len();
         let mut batch_span = BATCH_SPAN.start();
         batch_span.arg("checks", total as u64);

@@ -223,35 +223,6 @@ fn delta_runs_conform_to_cold_full_runs() {
     }
 }
 
-/// Removing a view drops exactly the standing checks that touch it, and
-/// the remainder still conforms to a cold run.
-#[test]
-fn removed_views_drop_their_checks_and_the_rest_conforms() {
-    for seed in 0..8u64 {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let (cat, _rels, views, mut delta) = standing_workload(&mut rng, seed);
-        let engine = Engine::new();
-        delta.run(&engine, &cat, 1);
-
-        let before = delta.len();
-        let removed = delta.remove_view(&views[0], &cat);
-        // View 0 touches: 2 kinds x 2 ordered pairs x 2 partners = 8 checks
-        // plus its membership probe (unless fingerprints collide, in which
-        // case more were posed against an identical view and also dropped).
-        assert!(removed >= 9, "seed {seed}: removed only {removed}");
-        assert_eq!(delta.len(), before - removed);
-
-        let outcome = delta.run(&engine, &cat, 1);
-        assert_eq!(outcome.recomputed, 0, "survivors were all retained");
-        let workload = delta.to_workload();
-        let cold = Engine::new().run_batch(&workload, &cat, 1);
-        assert_eq!(
-            render_delta(&delta, &outcome.results, &cat),
-            render_batch(&workload, &cold.results, &cat),
-        );
-    }
-}
-
 /// Regression (ROADMAP hot-path note): cached witnesses no longer pin a
 /// catalog snapshot, so a verdict computed early renders correctly for a
 /// view defined after the catalog has grown.

@@ -31,8 +31,7 @@
 //!
 //! * **Atomic append** ([`Pile::append`]): the full record (header +
 //!   payload + padding) is assembled in memory and written with a single
-//!   `write` on an `O_APPEND` descriptor, then flushed, then the pile's
-//!   in-memory committed length is published in one store. Concurrent
+//!   `write` on an `O_APPEND` descriptor, then flushed. Concurrent
 //!   appenders — threads or whole processes sharing the file — therefore
 //!   never interleave record bytes.
 //! * **Lazy validation on read** ([`Pile::records`],
@@ -145,75 +144,99 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// Outcome of scanning one record frame at `offset` within `bytes`.
-enum Frame {
-    /// A complete frame: `(kind, payload_range, total_aligned_len)`.
-    Complete {
-        kind: u8,
-        hash: u128,
-        payload_start: usize,
-        payload_len: usize,
-        total: usize,
-    },
-    /// The file ends before this frame completes (torn append or
-    /// truncation) — `what` says which field ran out.
-    Incomplete(String),
-    /// The frame is structurally invalid at this offset.
-    Invalid(String),
-}
-
-/// Scan the frame starting at `pos`. Checks marker, header pad, and
-/// extent only — hash verification is the caller's (lazy) business.
-fn scan_frame(bytes: &[u8], pos: usize) -> Frame {
+/// Check the frame starting at `pos`: marker, header pad and extent, and,
+/// when `verify`, its zero alignment padding and hash. `Ok` is the kind,
+/// the payload and the frame's aligned length; `Err` says what failed.
+fn frame(bytes: &[u8], pos: usize, verify: bool) -> Result<(u8, &[u8], usize), String> {
     let remaining = bytes.len() - pos;
     if remaining < HEADER_LEN {
-        return Frame::Incomplete(format!(
+        return Err(format!(
             "{remaining} trailing byte(s) where a {HEADER_LEN}-byte record header was expected"
         ));
     }
     let header = &bytes[pos..pos + HEADER_LEN];
     if header[..16] != RECORD_MARKER {
-        return Frame::Invalid("bad record marker".to_owned());
+        return Err("bad record marker".to_owned());
     }
     let hash = u128::from_le_bytes(header[16..32].try_into().unwrap());
     let payload_len = u32::from_le_bytes(header[32..36].try_into().unwrap()) as usize;
     let kind = header[36];
     if header[37..40] != [0, 0, 0] {
-        return Frame::Invalid("nonzero header padding".to_owned());
+        return Err("nonzero header padding".to_owned());
     }
     let total = HEADER_LEN + align8(payload_len);
     if total > remaining {
-        return Frame::Incomplete(format!(
+        return Err(format!(
             "record of {total} byte(s) extends past end of file"
         ));
     }
-    Frame::Complete {
-        kind,
-        hash,
-        payload_start: pos + HEADER_LEN,
-        payload_len,
-        total,
+    let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + payload_len];
+    if verify {
+        if bytes[pos + HEADER_LEN + payload_len..pos + total]
+            .iter()
+            .any(|&b| b != 0)
+        {
+            return Err("nonzero alignment padding".to_owned());
+        }
+        if record_hash(kind, payload) != hash {
+            return Err("record hash mismatch".to_owned());
+        }
     }
+    Ok((kind, payload, total))
 }
 
-/// Full validation of one complete frame: hash over `kind ‖ length ‖
-/// payload`, plus zero alignment padding. `Ok` is the payload slice.
-fn validate_frame(
-    bytes: &[u8],
-    kind: u8,
-    hash: u128,
-    payload_start: usize,
-    payload_len: usize,
-) -> Result<&[u8], String> {
-    let payload = &bytes[payload_start..payload_start + payload_len];
-    let zpad = &bytes[payload_start + payload_len..payload_start + align8(payload_len)];
-    if zpad.iter().any(|&b| b != 0) {
-        return Err("nonzero alignment padding".to_owned());
+/// A valid frame found by [`walk`]: its offset, kind and payload.
+type Frame<'a> = (usize, u8, &'a [u8]);
+
+/// Walk `bytes` front to back, checking each frame (hashes too when
+/// `verify`), up to the first invalid one. Returns the valid frames, the
+/// offset where the walk stopped, and what failed there (`None` when it
+/// reached the end). Payloads are borrowed, never copied.
+fn walk(bytes: &[u8], verify: bool) -> (Vec<Frame<'_>>, usize, Option<String>) {
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        match frame(bytes, pos, verify) {
+            Ok((kind, payload, total)) => {
+                frames.push((pos, kind, payload));
+                pos += total;
+            }
+            Err(what) => return (frames, pos, Some(what)),
+        }
     }
-    if record_hash(kind, payload) != hash {
-        return Err("record hash mismatch".to_owned());
-    }
-    Ok(payload)
+    (frames, pos, None)
+}
+
+/// Read `file` from byte `pos` to its end.
+fn read_from(file: &mut File, pos: u64) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    file.seek(SeekFrom::Start(pos))?;
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Open (creating if absent) a pile file for reading and appending, and
+/// read it whole.
+fn open_rw(path: &Path) -> std::io::Result<(File, Vec<u8>)> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .create(true)
+        .append(true)
+        .open(path)?;
+    let bytes = read_from(&mut file, 0)?;
+    Ok((file, bytes))
+}
+
+/// Materialize walked frames, each at `base` plus its offset.
+fn to_records(frames: Vec<Frame<'_>>, base: u64) -> Vec<Record> {
+    frames
+        .into_iter()
+        .map(|(pos, kind, payload)| Record {
+            offset: base + pos as u64,
+            kind,
+            payload: payload.to_vec(),
+        })
+        .collect()
 }
 
 /// The content hash of a record: kind byte, length field, then payload.
@@ -245,14 +268,11 @@ fn encode_record(kind: u8, payload: &[u8]) -> Result<Vec<u8>, PileError> {
 ///
 /// Appends go through an `O_APPEND` descriptor, so handles in other
 /// threads or processes appending to the same path interleave whole
-/// records, never bytes. Each handle tracks its own *committed* length —
-/// the validated prefix it has itself observed; [`Pile::records`]
-/// re-reads the file, so records appended by others are picked up.
+/// records, never bytes. [`Pile::records`] re-reads the file, so records
+/// appended by others are picked up.
 pub struct Pile {
     file: File,
     path: PathBuf,
-    /// Bytes this handle knows to be framing-valid (publish point).
-    committed: u64,
     /// `sync_data` after every append (the crash-safe default).
     sync: bool,
 }
@@ -265,30 +285,16 @@ impl Pile {
     /// to its valid prefix instead.
     pub fn open(path: impl AsRef<Path>) -> Result<Pile, PileError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            match scan_frame(&bytes, pos) {
-                Frame::Complete { total, .. } => pos += total,
-                Frame::Incomplete(what) | Frame::Invalid(what) => {
-                    return Err(PileError::Corrupt {
-                        offset: pos as u64,
-                        what,
-                    })
-                }
-            }
+        let (file, bytes) = open_rw(&path)?;
+        if let (_, end, Some(what)) = walk(&bytes, false) {
+            return Err(PileError::Corrupt {
+                offset: end as u64,
+                what,
+            });
         }
         Ok(Pile {
             file,
             path,
-            committed: bytes.len() as u64,
             sync: true,
         })
     }
@@ -300,72 +306,30 @@ impl Pile {
     /// Never panics, whatever the damage.
     pub fn recover(path: impl AsRef<Path>) -> Result<(Pile, RecoveryReport), PileError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
-        let mut pos = 0usize;
-        let mut records_kept = 0usize;
-        let mut damage = None;
-        while pos < bytes.len() {
-            match scan_frame(&bytes, pos) {
-                Frame::Complete {
-                    kind,
-                    hash,
-                    payload_start,
-                    payload_len,
-                    total,
-                } => match validate_frame(&bytes, kind, hash, payload_start, payload_len) {
-                    Ok(_) => {
-                        records_kept += 1;
-                        pos += total;
-                    }
-                    Err(what) => {
-                        damage = Some(format!("record at byte {pos}: {what}"));
-                        break;
-                    }
-                },
-                Frame::Incomplete(what) | Frame::Invalid(what) => {
-                    damage = Some(format!("record at byte {pos}: {what}"));
-                    break;
-                }
-            }
-        }
-        let bytes_dropped = (bytes.len() - pos) as u64;
+        let (file, bytes) = open_rw(&path)?;
+        let (frames, end, damage) = walk(&bytes, true);
+        let bytes_dropped = (bytes.len() - end) as u64;
         if bytes_dropped > 0 {
-            file.set_len(pos as u64)?;
+            file.set_len(end as u64)?;
             file.sync_data()?;
         }
         let report = RecoveryReport {
-            records_kept,
-            bytes_kept: pos as u64,
+            records_kept: frames.len(),
+            bytes_kept: end as u64,
             bytes_dropped,
-            damage,
+            damage: damage.map(|what| format!("record at byte {end}: {what}")),
         };
-        Ok((
-            Pile {
-                file,
-                path,
-                committed: pos as u64,
-                sync: true,
-            },
-            report,
-        ))
+        let pile = Pile {
+            file,
+            path,
+            sync: true,
+        };
+        Ok((pile, report))
     }
 
     /// The pile's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Bytes this handle has published (its validated prefix plus its own
-    /// appends). Other handles' appends are not counted until a re-read.
-    pub fn committed(&self) -> u64 {
-        self.committed
     }
 
     /// Disable (or re-enable) the `sync_data` after every append. With
@@ -376,17 +340,16 @@ impl Pile {
     }
 
     /// Append one record atomically: the full frame is written with a
-    /// single `O_APPEND` write, flushed, and only then is the handle's
-    /// committed length published. A crash before the flush leaves a
-    /// damaged suffix that recovery truncates; a crash after it leaves a
-    /// longer valid pile. Returns the record's encoded size in bytes.
+    /// single `O_APPEND` write, then flushed. A crash before the flush
+    /// leaves a damaged suffix that recovery truncates; a crash after it
+    /// leaves a longer valid pile. Returns the record's encoded size in
+    /// bytes.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<usize, PileError> {
         let buf = encode_record(kind, payload)?;
         self.file.write_all(&buf)?;
         if self.sync {
             self.file.sync_data()?;
         }
-        self.committed += buf.len() as u64;
         Ok(buf.len())
     }
 
@@ -396,44 +359,14 @@ impl Pile {
     /// tail from a concurrent in-flight append — yields
     /// [`PileError::Corrupt`] with its offset.
     pub fn records(&mut self) -> Result<Vec<Record>, PileError> {
-        let mut bytes = Vec::new();
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut bytes)?;
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            match scan_frame(&bytes, pos) {
-                Frame::Complete {
-                    kind,
-                    hash,
-                    payload_start,
-                    payload_len,
-                    total,
-                } => {
-                    let payload = validate_frame(&bytes, kind, hash, payload_start, payload_len)
-                        .map_err(|what| PileError::Corrupt {
-                            offset: pos as u64,
-                            what,
-                        })?;
-                    out.push(Record {
-                        offset: pos as u64,
-                        kind,
-                        payload: payload.to_vec(),
-                    });
-                    pos += total;
-                }
-                Frame::Incomplete(what) | Frame::Invalid(what) => {
-                    return Err(PileError::Corrupt {
-                        offset: pos as u64,
-                        what,
-                    })
-                }
-            }
+        let bytes = read_from(&mut self.file, 0)?;
+        match walk(&bytes, true) {
+            (_, end, Some(what)) => Err(PileError::Corrupt {
+                offset: end as u64,
+                what,
+            }),
+            (frames, _, None) => Ok(to_records(frames, 0)),
         }
-        if pos as u64 > self.committed {
-            self.committed = pos as u64;
-        }
-        Ok(out)
     }
 }
 
@@ -467,37 +400,12 @@ impl PileReader {
     /// Return every record that has become complete and valid since the
     /// last poll, in file order.
     pub fn poll(&mut self) -> Result<Vec<Record>, PileError> {
-        self.file.seek(SeekFrom::Start(self.pos))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
-        let mut out = Vec::new();
-        let mut rel = 0usize;
-        while rel < bytes.len() {
-            match scan_frame(&bytes, rel) {
-                Frame::Complete {
-                    kind,
-                    hash,
-                    payload_start,
-                    payload_len,
-                    total,
-                } => {
-                    let Ok(payload) =
-                        validate_frame(&bytes, kind, hash, payload_start, payload_len)
-                    else {
-                        break; // torn or damaged: retry from here next poll
-                    };
-                    out.push(Record {
-                        offset: self.pos + rel as u64,
-                        kind,
-                        payload: payload.to_vec(),
-                    });
-                    rel += total;
-                }
-                Frame::Incomplete(_) | Frame::Invalid(_) => break,
-            }
-        }
-        self.pos += rel as u64;
-        Ok(out)
+        let bytes = read_from(&mut self.file, self.pos)?;
+        // A torn or damaged frame ends the poll; the next one retries it.
+        let (frames, end, _) = walk(&bytes, true);
+        let records = to_records(frames, self.pos);
+        self.pos += end as u64;
+        Ok(records)
     }
 }
 
@@ -517,7 +425,6 @@ mod tests {
     fn round_trip_and_alignment() {
         let path = tmp("round-trip");
         let mut pile = Pile::open(&path).unwrap();
-        assert_eq!(pile.committed(), 0);
         for (kind, payload) in [(1u8, &b"hello"[..]), (2, b""), (7, &[0xFFu8; 23])] {
             let n = pile.append(kind, payload).unwrap();
             assert_eq!(n % 8, 0, "records stay 8-byte aligned");

@@ -14,7 +14,7 @@
 //! and reports what it dropped.
 
 use proptest::prelude::*;
-use viewcap_pile::{Pile, PileError, Record, RecoveryReport};
+use viewcap_pile::{Pile, PileError, PileReader, Record, RecoveryReport};
 
 /// A scratch path unique to this test name.
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -142,6 +142,62 @@ fn single_byte_flip_at_every_position_of_the_final_record() {
                     assert!(matches!(err, PileError::Corrupt { .. }), "pos={pos}: {err}");
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn every_reader_stops_where_recovery_cuts() {
+    let payloads: Vec<Vec<u8>> = vec![
+        b"first".to_vec(),
+        vec![0x5A; 33],
+        Vec::new(),
+        b"fourth-record".to_vec(),
+    ];
+    let (bytes, _) = build_pile("readers-build", &payloads);
+    let mut damaged_piles: Vec<(String, Vec<u8>)> = (0..bytes.len())
+        .map(|cut| (format!("cut={cut}"), bytes[..cut].to_vec()))
+        .collect();
+    for pos in 0..bytes.len() {
+        for flip in [0x01u8, 0x80] {
+            let mut damaged = bytes.clone();
+            damaged[pos] ^= flip;
+            damaged_piles.push((format!("pos={pos} flip={flip:#x}"), damaged));
+        }
+    }
+    let path = tmp("readers-case");
+    for (case, damaged) in &damaged_piles {
+        // A handle opened on an empty file re-reads whatever the file
+        // holds, so `records()` runs even where `open` would refuse.
+        std::fs::write(&path, b"").unwrap();
+        let mut handle = Pile::open(&path).unwrap();
+        std::fs::write(&path, damaged).unwrap();
+        let opened = Pile::open(&path);
+        let read = handle.records();
+        let polled = PileReader::open(&path).unwrap().poll().unwrap();
+        let (mut recovered, report) = Pile::recover(&path).unwrap();
+        let kept = recovered.records().unwrap();
+
+        assert_eq!(
+            polled, kept,
+            "{case}: poll must surface what recovery keeps"
+        );
+        match read {
+            Ok(records) => assert_eq!(records.len(), report.records_kept, "{case}"),
+            Err(PileError::Corrupt { offset, .. }) => {
+                assert_eq!(offset, report.bytes_kept, "{case}")
+            }
+            Err(e) => panic!("{case}: unexpected records() error {e}"),
+        }
+        match opened {
+            Ok(_) => {}
+            Err(PileError::Corrupt { offset, .. }) => {
+                assert!(
+                    offset >= report.bytes_kept,
+                    "{case}: open failed at {offset}"
+                )
+            }
+            Err(e) => panic!("{case}: unexpected open error {e}"),
         }
     }
 }

@@ -83,7 +83,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use viewcap_base::{Catalog, RelId};
-use viewcap_core::{frontier_diff, Query, View};
+use viewcap_core::{frontier_diff, ClosureMember, Query, View};
 use viewcap_engine::{
     CacheStats, Check, Decision, DeltaWorkload, Engine, EnumStats, Request, Verdict, Workload,
 };
@@ -250,16 +250,16 @@ pub fn run_scenario_with_engine(
     };
     let err = |line: usize, msg: String| ScenarioError { line, msg };
 
-    let lines: Vec<&str> = src.lines().collect();
+    let lines: Vec<Line<'_>> = src
+        .lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, strip_comment(raw).trim()))
+        .filter(|(_, line)| !line.is_empty())
+        .collect();
     let mut i = 0usize;
-    while i < lines.len() {
-        let lineno = i + 1;
-        let line = strip_comment(lines[i]).trim().to_owned();
+    while let Some(&(lineno, line)) = lines.get(i) {
         i += 1;
-        if line.is_empty() {
-            continue;
-        }
-        let (head, rest) = split_word(&line);
+        let (head, rest) = split_word(line);
         // Any command other than `rel` flushes buffered (to-be-permuted)
         // declarations first, so views and checks see a complete catalog.
         if head != "rel" {
@@ -268,54 +268,37 @@ pub fn run_scenario_with_engine(
         match head {
             "rel" => runner.cmd_rel(rest).map_err(|m| err(lineno, m))?,
             "catalog" => runner.cmd_catalog(rest).map_err(|m| err(lineno, m))?,
-            "view" => {
-                let name = rest.trim_end_matches('{').trim().to_owned();
-                if name.is_empty() {
-                    return Err(err(lineno, "view needs a name".into()));
+            "view" | "edit" => {
+                let name = block_name(head, line, rest).map_err(|m| err(lineno, m))?;
+                let body = block(&lines, &mut i)
+                    .ok_or_else(|| err(lineno, format!("{head} `{name}` is never closed")))?;
+                match head {
+                    "view" => runner.cmd_view(name, body),
+                    _ => runner.cmd_edit(lineno, name, body),
                 }
-                if !line.ends_with('{') {
-                    return Err(err(lineno, "expected `{` to open the view block".into()));
-                }
-                let body = collect_block(&lines, &mut i)
-                    .ok_or_else(|| err(lineno, format!("view `{name}` is never closed")))?;
-                runner.cmd_view(&name, &body).map_err(|(l, m)| err(l, m))?;
+                .map_err(|(l, m)| err(l, m))?;
             }
             "check" => runner.cmd_check(rest).map_err(|m| err(lineno, m))?,
-            "edit" => {
-                let name = rest.trim_end_matches('{').trim().to_owned();
-                if name.is_empty() {
-                    return Err(err(lineno, "edit needs a view name".into()));
-                }
-                if !line.ends_with('{') {
-                    return Err(err(lineno, "expected `{` to open the edit block".into()));
-                }
-                let body = collect_block(&lines, &mut i)
-                    .ok_or_else(|| err(lineno, format!("edit `{name}` is never closed")))?;
-                runner
-                    .cmd_edit(lineno, &name, &body)
-                    .map_err(|(l, m)| err(l, m))?;
-            }
             "recheck" => {
-                if !rest.trim().is_empty() {
+                if !rest.is_empty() {
                     return Err(err(lineno, "recheck takes no arguments".into()));
                 }
                 runner.cmd_recheck().map_err(|m| err(lineno, m))?;
             }
-            "batch" => {
-                if rest.trim() != "{" {
-                    return Err(err(lineno, "expected `batch {`".into()));
+            "batch" | "txn" => {
+                if rest != "{" {
+                    return Err(err(lineno, format!("expected `{head} {{`")));
                 }
-                let body = collect_block(&lines, &mut i)
-                    .ok_or_else(|| err(lineno, "batch block is never closed".into()))?;
-                runner.cmd_batch(&body).map_err(|(l, m)| err(l, m))?;
-            }
-            "txn" => {
-                if rest.trim() != "{" {
-                    return Err(err(lineno, "expected `txn {`".into()));
+                let body = match head {
+                    "batch" => block(&lines, &mut i),
+                    _ => txn_block(&lines, &mut i),
                 }
-                let body = collect_nested_block(&lines, &mut i)
-                    .ok_or_else(|| err(lineno, "txn block is never closed".into()))?;
-                runner.cmd_txn(lineno, &body).map_err(|(l, m)| err(l, m))?;
+                .ok_or_else(|| err(lineno, format!("{head} block is never closed")))?;
+                match head {
+                    "batch" => runner.cmd_batch(body),
+                    _ => runner.cmd_txn(lineno, body),
+                }
+                .map_err(|(l, m)| err(l, m))?;
             }
             "nonredundant" => runner.cmd_nonredundant(rest).map_err(|m| err(lineno, m))?,
             "simplify" => runner.cmd_simplify(rest).map_err(|m| err(lineno, m))?,
@@ -324,7 +307,9 @@ pub fn run_scenario_with_engine(
             other => return Err(err(lineno, format!("unknown command `{other}`"))),
         }
     }
-    runner.flush_rels().map_err(|m| err(lines.len(), m))?;
+    runner
+        .flush_rels()
+        .map_err(|m| err(src.lines().count(), m))?;
     Ok(ScenarioOutcome {
         report: runner.report,
         yes: runner.yes,
@@ -361,48 +346,56 @@ fn render_check(
     }
 }
 
-/// Collect nonempty lines (with 1-based line numbers) up to the closing
-/// `}` of a block, advancing `i` past it. `None` if the block never closes.
-fn collect_block(lines: &[&str], i: &mut usize) -> Option<Vec<(usize, String)>> {
-    let mut body = Vec::new();
-    loop {
-        let line = lines.get(*i)?;
-        let stripped = strip_comment(line).trim().to_owned();
-        let lineno = *i + 1;
-        *i += 1;
-        if stripped == "}" {
-            return Some(body);
-        }
-        if !stripped.is_empty() {
-            body.push((lineno, stripped));
-        }
-    }
+/// A nonempty source line, comment stripped and trimmed, with its 1-based
+/// line number.
+type Line<'s> = (usize, &'s str);
+
+/// The lines of a block up to its first `}`, advancing `i` past that
+/// `}`. `None` if the block never closes.
+fn block<'a, 's>(lines: &'a [Line<'s>], i: &mut usize) -> Option<&'a [Line<'s>]> {
+    let start = *i;
+    let len = lines[start..].iter().position(|&(_, l)| l == "}")?;
+    *i = start + len + 1;
+    Some(&lines[start..start + len])
 }
 
-/// Like [`collect_block`], but brace-depth aware: lines opening nested
-/// blocks (ending in `{`) and their closing `}` lines are kept in the body;
-/// only the `}` matching the outer opener terminates it. `txn` blocks need
-/// this — their bodies hold whole `edit NAME { ... }` blocks.
-fn collect_nested_block(lines: &[&str], i: &mut usize) -> Option<Vec<(usize, String)>> {
-    let mut body = Vec::new();
+/// Like [`block`], but brace-depth aware: lines opening nested blocks
+/// (ending in `{`) and their closing `}` lines stay in the body; only the
+/// `}` matching the outer opener ends it. `txn` blocks need this — their
+/// bodies hold whole `edit NAME { ... }` blocks.
+fn txn_block<'a, 's>(lines: &'a [Line<'s>], i: &mut usize) -> Option<&'a [Line<'s>]> {
+    let start = *i;
     let mut depth = 0usize;
-    loop {
-        let line = lines.get(*i)?;
-        let stripped = strip_comment(line).trim().to_owned();
-        let lineno = *i + 1;
-        *i += 1;
-        if stripped == "}" {
+    for (len, &(_, line)) in lines[start..].iter().enumerate() {
+        if line == "}" {
             if depth == 0 {
-                return Some(body);
+                *i = start + len + 1;
+                return Some(&lines[start..start + len]);
             }
             depth -= 1;
-        } else if stripped.ends_with('{') {
+        } else if line.ends_with('{') {
             depth += 1;
         }
-        if !stripped.is_empty() {
-            body.push((lineno, stripped));
-        }
     }
+    None
+}
+
+/// The NAME of a `view NAME {` or `edit NAME {` header `line`, whose
+/// words after `kind` are `rest`.
+fn block_name<'s>(kind: &str, line: &str, rest: &'s str) -> Result<&'s str, String> {
+    let name = rest.trim_end_matches('{').trim();
+    if name.is_empty() {
+        let what = if kind == "view" {
+            "a name"
+        } else {
+            "a view name"
+        };
+        return Err(format!("{kind} needs {what}"));
+    }
+    if !line.ends_with('{') {
+        return Err(format!("expected `{{` to open the {kind} block"));
+    }
+    Ok(name)
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -536,7 +529,7 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn cmd_view(&mut self, name: &str, body: &[(usize, String)]) -> Result<(), (usize, String)> {
+    fn cmd_view(&mut self, name: &str, body: &[Line<'_>]) -> Result<(), (usize, String)> {
         let mut pairs: Vec<(viewcap_expr::Expr, RelId)> = Vec::new();
         let mut logical: Vec<String> = Vec::new();
         for (lineno, entry) in body {
@@ -555,7 +548,7 @@ impl Runner<'_> {
         }
         let view = View::from_exprs(pairs, &self.catalog)
             .map_err(|e| (body.first().map_or(0, |(l, _)| *l), e.to_string()))?;
-        // Warm the canonical-key memos now: every later check clones this
+        // Warm the content-key memos now: every later check clones this
         // view, and clones inherit the filled caches, so fingerprinting a
         // whole workload against it costs one canonicalization per query.
         let _ = viewcap_engine::view_fingerprint(&view, &self.catalog);
@@ -650,7 +643,7 @@ impl Runner<'_> {
     /// Run a `batch { ... }` block through the engine: every line is a
     /// `check` command; the block is deduplicated, answered from the
     /// verdict cache where possible, and the rest computed in parallel.
-    fn cmd_batch(&mut self, body: &[(usize, String)]) -> Result<(), (usize, String)> {
+    fn cmd_batch(&mut self, body: &[Line<'_>]) -> Result<(), (usize, String)> {
         let mut workload = Workload::new();
         for (lineno, entry) in body {
             let (head, rest) = split_word(entry);
@@ -688,7 +681,7 @@ impl Runner<'_> {
         &mut self,
         lineno: usize,
         name: &str,
-        body: &[(usize, String)],
+        body: &[Line<'_>],
     ) -> Result<(), (usize, String)> {
         let edit = [self.apply_edit(lineno, name, body)?];
         let invalidated = self.delta.replace_views(&edit, &self.catalog);
@@ -708,7 +701,7 @@ impl Runner<'_> {
         &mut self,
         lineno: usize,
         name: &str,
-        body: &[(usize, String)],
+        body: &[Line<'_>],
     ) -> Result<(View, View), (usize, String)> {
         let named = self
             .views
@@ -763,7 +756,7 @@ impl Runner<'_> {
             ));
         }
         let new_view = View::new(pairs, &self.catalog).map_err(|e| (lineno, e.to_string()))?;
-        // Warm the canonical-key memos, as `cmd_view` does.
+        // Warm the content-key memos, as `cmd_view` does.
         let _ = viewcap_engine::view_fingerprint(&new_view, &self.catalog);
         self.views.insert(
             name.to_owned(),
@@ -782,38 +775,22 @@ impl Runner<'_> {
     /// Verdicts and witnesses after the next `recheck` are byte-identical
     /// to the same edits applied as individual `edit` blocks; only the
     /// invalidation accounting differs.
-    fn cmd_txn(&mut self, lineno: usize, body: &[(usize, String)]) -> Result<(), (usize, String)> {
+    fn cmd_txn(&mut self, lineno: usize, body: &[Line<'_>]) -> Result<(), (usize, String)> {
         let mut edits: Vec<(View, View)> = Vec::new();
         let mut j = 0usize;
-        while j < body.len() {
-            let (ln, entry) = &body[j];
+        while let Some(&(ln, entry)) = body.get(j) {
             j += 1;
             let (head, rest) = split_word(entry);
             if head != "edit" {
                 return Err((
-                    *ln,
+                    ln,
                     format!("txn blocks only hold `edit` blocks, got `{head}`"),
                 ));
             }
-            let name = rest.trim_end_matches('{').trim().to_owned();
-            if name.is_empty() {
-                return Err((*ln, "edit needs a view name".into()));
-            }
-            if !entry.ends_with('{') {
-                return Err((*ln, "expected `{` to open the edit block".into()));
-            }
-            let mut inner: Vec<(usize, String)> = Vec::new();
-            loop {
-                let Some((iln, ientry)) = body.get(j) else {
-                    return Err((*ln, format!("edit `{name}` is never closed")));
-                };
-                j += 1;
-                if ientry == "}" {
-                    break;
-                }
-                inner.push((*iln, ientry.clone()));
-            }
-            let (old, new) = self.apply_edit(*ln, &name, &inner)?;
+            let name = block_name(head, entry, rest).map_err(|m| (ln, m))?;
+            let inner = block(body, &mut j)
+                .ok_or_else(|| (ln, format!("edit `{name}` is never closed")))?;
+            let (old, new) = self.apply_edit(ln, name, inner)?;
             let _ = writeln!(
                 self.report,
                 "txn edit {name}: {} defining relation(s)",
@@ -977,15 +954,21 @@ impl Runner<'_> {
             "frontier {vname} {k}: {} distinct member(s)",
             members.len()
         );
-        for m in &members {
+        self.write_members("", &members);
+        Ok(())
+    }
+
+    /// One `TRS … (construction size n)` report line per member, each
+    /// marked with `sign`.
+    fn write_members(&mut self, sign: &str, members: &[ClosureMember]) {
+        for m in members {
             let _ = writeln!(
                 self.report,
-                "  TRS {} (construction size {})",
+                "  {sign}TRS {} (construction size {})",
                 display_scheme(&m.query.trs(), &self.catalog),
                 m.construction_size
             );
         }
-        Ok(())
     }
 
     /// `diff A B K` — the capacity-frontier diff of two view versions at
@@ -1012,22 +995,8 @@ impl Runner<'_> {
             diff.only_right.len(),
             diff.common
         );
-        for m in &diff.only_left {
-            let _ = writeln!(
-                self.report,
-                "  - TRS {} (construction size {})",
-                display_scheme(&m.query.trs(), &self.catalog),
-                m.construction_size
-            );
-        }
-        for m in &diff.only_right {
-            let _ = writeln!(
-                self.report,
-                "  + TRS {} (construction size {})",
-                display_scheme(&m.query.trs(), &self.catalog),
-                m.construction_size
-            );
-        }
+        self.write_members("- ", &diff.only_left);
+        self.write_members("+ ", &diff.only_right);
         Ok(())
     }
 }
