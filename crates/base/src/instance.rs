@@ -63,11 +63,6 @@ impl Instantiation {
             .unwrap_or_else(|| Relation::empty(catalog.scheme_of(rel).clone()))
     }
 
-    /// Borrow `α(rel)` if it has been explicitly set.
-    pub fn get_set(&self, rel: RelId) -> Option<&Relation> {
-        self.rels.get(&rel)
-    }
-
     /// Names with explicitly assigned relations (the finite support).
     pub fn support(&self) -> impl Iterator<Item = RelId> + '_ {
         self.rels.keys().copied()

@@ -13,6 +13,9 @@ use crate::error::BaseError;
 use crate::ids::AttrId;
 use std::fmt;
 
+/// Widest scheme whose subsets [`Scheme::nonempty_subsets`] enumerates.
+pub const MAX_SUBSET_ATTRS: usize = 16;
+
 /// A finite set of attributes, sorted ascending.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Scheme {
@@ -125,9 +128,16 @@ impl Scheme {
     ///
     /// Exponential by nature; schemes in this library are tiny. The result
     /// excludes the empty set but *includes* the full scheme.
+    ///
+    /// # Panics
+    ///
+    /// On a scheme wider than [`MAX_SUBSET_ATTRS`].
     pub fn nonempty_subsets(&self) -> Vec<Scheme> {
         let n = self.attrs.len();
-        assert!(n <= 16, "nonempty_subsets on an implausibly wide scheme");
+        assert!(
+            n <= MAX_SUBSET_ATTRS,
+            "nonempty_subsets on an implausibly wide scheme"
+        );
         let mut out = Vec::with_capacity((1usize << n) - 1);
         for mask in 1u32..(1u32 << n) {
             let attrs: Vec<AttrId> = (0..n)

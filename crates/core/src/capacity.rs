@@ -20,7 +20,6 @@
 //! A positive answer returns a [`ClosureProof`] — the construction itself —
 //! which callers can independently validate by evaluation.
 
-use crate::error::CoreError;
 use crate::query::Query;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
@@ -29,8 +28,7 @@ use viewcap_expr::Expr;
 use viewcap_obs as obs;
 use viewcap_template::{
     equivalent_templates, load_space, save_space, space_digest, substitute, Assignment,
-    CandidateSpace, SearchLimits, SearchOptions, SearchOverflow, SearchStats, Substitution,
-    Template,
+    CandidateSpace, SearchLimits, SearchOverflow, SearchStats, Substitution, Template,
 };
 
 use crate::view::View;
@@ -43,15 +41,15 @@ static SPACE_HYDRATES: obs::Counter = obs::Counter::new("space.hydrates");
 static SPACE_LEVELS_REUSED: obs::Counter = obs::Counter::new("space.levels_reused");
 static SPACE_HYDRATE_REJECTS: obs::Counter = obs::Counter::new("space.hydrate_rejects");
 
-/// Budget knobs for the bounded search.
+/// The work a bounded search may do before it answers "unknown".
+///
+/// The atom bound is not part of the budget: a membership probe always
+/// stops at `#(reduce(Q))` atoms, the completeness bound of the syntactic
+/// subtemplate lemma.
 #[derive(Clone, Debug, Default)]
 pub struct SearchBudget {
     /// Limits handed to the underlying enumeration.
     pub limits: SearchLimits,
-    /// Override the atom bound (default: `#(reduce(Q))`, the completeness
-    /// bound of the syntactic subtemplate lemma). Raising it never changes
-    /// answers; it exists for experimentation and the ablation benches.
-    pub max_atoms_override: Option<usize>,
 }
 
 /// A construction witnessing `Q ∈ closure(𝒯)` (Theorem 2.3.2).
@@ -165,7 +163,7 @@ impl ClosureContext {
             .iter()
             .map(|&(lam, i)| (lam, queries[i].rel_names()))
             .collect();
-        let space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let space = CandidateSpace::new(&atoms);
         ClosureContext {
             scratch,
             beta,
@@ -181,12 +179,11 @@ impl ClosureContext {
     }
 
     /// Content digest addressing this context's candidate space: the
-    /// search options plus the ordered sequence of λ-atom schemes, by
-    /// attribute *name* — identical across catalogs declaring the same
-    /// relations in any order, and shared by any query set with the same
-    /// TRS sequence.
+    /// ordered sequence of λ-atom schemes, by attribute *name* — identical
+    /// across catalogs declaring the same relations in any order, and
+    /// shared by any query set with the same TRS sequence.
     pub fn space_key(&self) -> u128 {
-        space_digest(&self.scratch, &self.atoms(), SearchOptions::default())
+        space_digest(&self.scratch, &self.atoms())
     }
 
     fn atoms(&self) -> Vec<RelId> {
@@ -212,12 +209,7 @@ impl ClosureContext {
             return;
         }
         let t0 = obs::now_ns();
-        match load_space(
-            &bytes,
-            &self.scratch,
-            &self.atoms(),
-            SearchOptions::default(),
-        ) {
+        match load_space(&bytes, &self.scratch, &self.atoms()) {
             Ok(space) => {
                 self.hydrated_levels = space.built_levels();
                 self.space = space;
@@ -256,9 +248,74 @@ impl ClosureContext {
             .saturating_sub(self.hydrated_levels)
     }
 
+    /// The one bounded walk over λ-skeletons behind every probe: count the
+    /// probe, hydrate a staged snapshot, then visit the shared space's roots
+    /// with at most `max_atoms` atoms, each with its substitution
+    /// `β(skeleton)`. With a `goal`, only constructions of it reach `f`:
+    /// skeletons whose TRS and RN match the goal's and whose substitution is
+    /// equivalent to it (Theorem 2.3.2).
+    ///
+    /// Returns `Ok(true)` when `f` broke.
+    fn walk(
+        &mut self,
+        goal: Option<&Query>,
+        max_atoms: usize,
+        f: &mut dyn FnMut(&Expr, &Template, Substitution) -> ControlFlow<()>,
+    ) -> Result<bool, SearchOverflow> {
+        self.probes += 1;
+        self.hydrate_pending();
+        if self.lambda_queries.is_empty() {
+            return Ok(false);
+        }
+        // Quick rejection: equivalent mappings have equal RN sets, and every
+        // construction's RN is covered by the union of the queries' RNs.
+        let goal = goal.map(|g| (g, g.trs(), g.rel_names()));
+        if let Some((_, _, goal_rn)) = &goal {
+            if !goal_rn.iter().all(|r| self.union_rn.contains(r)) {
+                return Ok(false);
+            }
+        }
+        let ClosureContext {
+            scratch,
+            beta,
+            rn_of_lambda,
+            space,
+            budget,
+            ..
+        } = self;
+        let scratch: &Catalog = scratch;
+        space.probe(
+            scratch,
+            max_atoms,
+            goal.as_ref().map(|(_, trs, _)| trs),
+            &budget.limits,
+            &mut |expr, skel| {
+                if let Some((_, _, goal_rn)) = &goal {
+                    // RN(goal) must equal the union of the assigned
+                    // queries' RNs over the skeleton's tags.
+                    let skel_rn: BTreeSet<RelId> = skel
+                        .rel_names()
+                        .into_iter()
+                        .flat_map(|lam| rn_of_lambda[&lam].iter().copied())
+                        .collect();
+                    if skel_rn != *goal_rn {
+                        return ControlFlow::Continue(());
+                    }
+                }
+                let sub = substitute(skel, beta, scratch).expect("every λ is assigned");
+                if let Some((goal, _, _)) = &goal {
+                    if !equivalent_templates(&sub.result, goal.template()) {
+                        return ControlFlow::Continue(());
+                    }
+                }
+                f(expr, skel, sub)
+            },
+        )
+    }
+
     /// Decide `goal ∈ closure(queries)` by probing the shared candidate
     /// space; identical to a fresh [`closure_contains`] call, including
-    /// overflow behavior.
+    /// overflow behavior. The proof is the first construction of the goal.
     ///
     /// `Err` means the search budget was exhausted — the answer is unknown,
     /// *not* "no".
@@ -269,66 +326,19 @@ impl ClosureContext {
             obs::SpanDef::new("core.closure.probe", "enum", "span.core.closure.probe");
         let mut span = PROBE_SPAN.start();
         span.arg("goal_atoms", goal.template().len() as u64);
-        self.probes += 1;
-        self.hydrate_pending();
-        if self.lambda_queries.is_empty() {
-            return Ok(None);
-        }
-        // Quick rejection: equivalent mappings have equal RN sets, and every
-        // construction's RN is covered by the union of the queries' RNs.
-        if !goal.rel_names().iter().all(|r| self.union_rn.contains(r)) {
-            return Ok(None);
-        }
-
-        let max_atoms = self
-            .budget
-            .max_atoms_override
-            .unwrap_or_else(|| goal.template().len());
-        let goal_trs = goal.trs();
-        // RN(goal) must equal the union of the assigned queries' RNs over
-        // the skeleton's tags.
-        let goal_rn = goal.rel_names();
-
-        let ClosureContext {
-            scratch,
-            beta,
-            lambda_queries,
-            rn_of_lambda,
-            space,
-            budget,
-            ..
-        } = self;
-        let scratch: &Catalog = scratch;
-        let mut proof = None;
-        space.probe(
-            scratch,
-            max_atoms,
-            Some(&goal_trs),
-            &budget.limits,
-            &mut |expr, skel| {
-                let skel_rn: BTreeSet<RelId> = skel
-                    .rel_names()
-                    .into_iter()
-                    .flat_map(|lam| rn_of_lambda[&lam].iter().copied())
-                    .collect();
-                if skel_rn != goal_rn {
-                    return ControlFlow::Continue(());
-                }
-                let sub = substitute(skel, beta, scratch).expect("every λ is assigned");
-                if equivalent_templates(&sub.result, goal.template()) {
-                    proof = Some(ClosureProof {
-                        skeleton: expr.clone(),
-                        lambda_queries: lambda_queries.clone(),
-                        skeleton_template: skel.clone(),
-                        substituted: sub.result,
-                    });
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )?;
-        Ok(proof)
+        let mut first = None;
+        self.walk(Some(goal), goal.template().len(), &mut |expr, skel, sub| {
+            first = Some((expr.clone(), skel.clone(), sub.result));
+            ControlFlow::Break(())
+        })?;
+        Ok(
+            first.map(|(skeleton, skeleton_template, substituted)| ClosureProof {
+                skeleton,
+                lambda_queries: self.lambda_queries.clone(),
+                skeleton_template,
+                substituted,
+            }),
+        )
     }
 
     /// Enumerate every construction of `goal` from the query set — each
@@ -346,62 +356,9 @@ impl ClosureContext {
         goal: &Query,
         f: &mut dyn FnMut(&Expr, &Template, &Substitution) -> ControlFlow<()>,
     ) -> Result<bool, SearchOverflow> {
-        self.probes += 1;
-        self.hydrate_pending();
-        if self.lambda_queries.is_empty() {
-            return Ok(false);
-        }
-        // Same quick rejection as `contains`: equivalent mappings have equal
-        // RN sets, so no construction exists for goals mentioning names
-        // outside the queries' union.
-        if !goal.rel_names().iter().all(|r| self.union_rn.contains(r)) {
-            return Ok(false);
-        }
-
-        let max_atoms = self
-            .budget
-            .max_atoms_override
-            .unwrap_or_else(|| goal.template().len());
-        let goal_trs = goal.trs();
-        let goal_rn = goal.rel_names();
-
-        let ClosureContext {
-            scratch,
-            beta,
-            rn_of_lambda,
-            space,
-            budget,
-            ..
-        } = self;
-        let scratch: &Catalog = scratch;
-        let mut broke = false;
-        space.probe(
-            scratch,
-            max_atoms,
-            Some(&goal_trs),
-            &budget.limits,
-            &mut |expr, skel| {
-                let skel_rn: BTreeSet<RelId> = skel
-                    .rel_names()
-                    .into_iter()
-                    .flat_map(|lam| rn_of_lambda[&lam].iter().copied())
-                    .collect();
-                if skel_rn != goal_rn {
-                    return ControlFlow::Continue(());
-                }
-                let sub = substitute(skel, beta, scratch).expect("every λ is assigned");
-                if !equivalent_templates(&sub.result, goal.template()) {
-                    return ControlFlow::Continue(());
-                }
-                if f(expr, skel, &sub).is_break() {
-                    broke = true;
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )?;
-        Ok(broke)
+        self.walk(Some(goal), goal.template().len(), &mut |expr, skel, sub| {
+            f(expr, skel, &sub)
+        })
     }
 
     /// Enumerate every candidate construction over the query set with at
@@ -412,35 +369,14 @@ impl ClosureContext {
     /// shares the lazily extended space across repeated frontier sweeps
     /// and with the membership probes of the same query set (the engine's
     /// pooled `frontier`/`diff` path).
+    ///
+    /// Returns `Ok(true)` when the callback broke early.
     pub fn for_each_substitution(
         &mut self,
         max_atoms: usize,
         f: &mut dyn FnMut(&Expr, &Template, &Substitution) -> ControlFlow<()>,
-    ) -> Result<(), SearchOverflow> {
-        self.probes += 1;
-        self.hydrate_pending();
-        if self.lambda_queries.is_empty() {
-            return Ok(());
-        }
-        let ClosureContext {
-            scratch,
-            beta,
-            space,
-            budget,
-            ..
-        } = self;
-        let scratch: &Catalog = scratch;
-        space.probe(
-            scratch,
-            max_atoms,
-            None,
-            &budget.limits,
-            &mut |expr, skel| {
-                let sub = substitute(skel, beta, scratch).expect("every λ is assigned");
-                f(expr, skel, &sub)
-            },
-        )?;
-        Ok(())
+    ) -> Result<bool, SearchOverflow> {
+        self.walk(None, max_atoms, &mut |expr, skel, sub| f(expr, skel, &sub))
     }
 
     /// The scratch catalog (the caller's catalog plus the minted λ names) —
@@ -465,11 +401,6 @@ impl ClosureContext {
     /// Goals probed through this context.
     pub fn probes(&self) -> u64 {
         self.probes
-    }
-
-    /// The budget every probe runs under.
-    pub fn budget(&self) -> &SearchBudget {
-        &self.budget
     }
 }
 
@@ -502,15 +433,6 @@ pub fn cap_contains(
 ) -> Result<Option<ClosureProof>, SearchOverflow> {
     let qs = view.query_set();
     closure_contains(qs.queries(), goal, catalog, budget)
-}
-
-/// Convenience wrapper mapping overflow into [`CoreError`].
-pub fn cap_contains_default(
-    view: &View,
-    goal: &Query,
-    catalog: &Catalog,
-) -> Result<Option<ClosureProof>, CoreError> {
-    Ok(cap_contains(view, goal, catalog, &SearchBudget::default())?)
 }
 
 #[cfg(test)]

@@ -280,17 +280,6 @@ pub fn essential_tuples_in(
     Ok(essential)
 }
 
-/// Is a specific tuple essential?
-pub fn is_essential(
-    queries: &[Query],
-    t_idx: usize,
-    tuple_idx: usize,
-    catalog: &Catalog,
-    budget: &SearchBudget,
-) -> Result<bool, SearchOverflow> {
-    Ok(essential_tuples(queries, t_idx, catalog, budget)?[tuple_idx])
-}
-
 /// **Theorem 3.3.9** — find an exhibited construction of
 /// `queries[goal_idx]` from the set in which every immediate descendant
 /// w.r.t. `queries[t_idx]` is an *essential* tuple of `T` (whenever the

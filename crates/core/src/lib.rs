@@ -17,10 +17,11 @@
 //!   self-descendence, and essential tagged tuples / connected components
 //!   (Sections 3.2–3.3);
 //! * [`simplify`] — proper projections, simple queries, and the simplified
-//!   normal form with its uniqueness and maximality properties (Section 4);
-//! * [`paper_procedure`] — a literal implementation of the paper's
-//!   `J_k`-style enumeration (Lemmas 2.4.9/2.4.10) for tiny instances,
-//!   used to cross-check the bounded search.
+//!   normal form with its uniqueness and maximality properties (Section 4).
+//!
+//! A literal implementation of the paper's `J_k`-style enumeration (Lemmas
+//! 2.4.9/2.4.10) for tiny instances cross-checks the bounded search; it is
+//! a test oracle, kept in `tests/support/paper_procedure.rs`.
 
 pub mod capacity;
 pub mod closure;
@@ -28,7 +29,6 @@ pub mod equivalence;
 pub mod error;
 pub mod essential;
 pub mod norm;
-pub mod paper_procedure;
 pub mod query;
 pub mod redundancy;
 pub mod simplify;

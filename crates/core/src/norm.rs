@@ -435,10 +435,7 @@ impl NormContext {
     /// equivalent operands yield equivalent joins/projections).
     fn search(&mut self, key: &[usize], goal: usize) -> Result<Option<Vec<usize>>, SearchOverflow> {
         self.searched += 1;
-        let max_atoms = self
-            .budget
-            .max_atoms_override
-            .unwrap_or_else(|| self.classes[goal].template().len());
+        let max_atoms = self.classes[goal].template().len();
         let NormContext {
             classes,
             spaces,
@@ -584,11 +581,6 @@ impl NormContext {
     /// enumeration.
     pub fn searches(&self) -> u64 {
         self.searched
-    }
-
-    /// The budget every probe runs under.
-    pub fn budget(&self) -> &SearchBudget {
-        &self.budget
     }
 }
 

@@ -2,7 +2,7 @@
 //! snapshots, keyed by content digest.
 //!
 //! A [`SpaceLibrary`] maps `space_digest` keys (128-bit content digests of
-//! the search options plus the λ-atom schemes — see
+//! the λ-atom schemes — see
 //! [`viewcap_template::space_digest`]) to serialized snapshots produced by
 //! [`viewcap_template::save_space`]. The engine's context pool stages a
 //! matching snapshot into every [`viewcap_core::ClosureContext`] it builds,

@@ -17,7 +17,7 @@ use viewcap_engine::{
     PileStore, SpaceLibrary, Verdict,
 };
 use viewcap_expr::parse_expr;
-use viewcap_template::{save_space, space_digest, CandidateSpace, SearchLimits, SearchOptions};
+use viewcap_template::{save_space, space_digest, CandidateSpace, SearchLimits};
 
 /// `(length, fnv1a64)` of an encoded file.
 fn pin(bytes: &[u8]) -> (usize, u64) {
@@ -136,7 +136,7 @@ fn pile_load_saves_the_merge_pin() {
 }
 
 fn space(cat: &Catalog, atoms: &[RelId], max_atoms: usize) -> Vec<u8> {
-    let mut space = CandidateSpace::new(atoms, SearchOptions::default());
+    let mut space = CandidateSpace::new(atoms);
     space
         .probe(
             cat,
@@ -157,9 +157,8 @@ fn space_snapshot_and_library_bytes_are_pinned() {
     let snapshot = space(&cat, &[r, s], 3);
     assert_eq!(pin(&snapshot), (8865, 0x7743_25C4_752A_9D38));
 
-    let opts = SearchOptions::default();
     let mut lib = SpaceLibrary::new();
-    assert!(lib.insert(space_digest(&cat, &[r, s], opts), snapshot));
-    assert!(lib.insert(space_digest(&cat, &[s], opts), space(&cat, &[s], 2)));
+    assert!(lib.insert(space_digest(&cat, &[r, s]), snapshot));
+    assert!(lib.insert(space_digest(&cat, &[s]), space(&cat, &[s], 2)));
     assert_eq!(pin(&lib.to_bytes()), (9278, 0x6E5C_9133_7D49_DDE0));
 }

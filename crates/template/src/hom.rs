@@ -19,7 +19,7 @@
 //! duplicates.
 
 use crate::index::TupleIndex;
-use crate::template::{TaggedTuple, Template};
+use crate::template::Template;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use viewcap_base::Symbol;
@@ -56,11 +56,6 @@ impl Homomorphism {
         } else {
             self.symbol_map.get(&s).copied().unwrap_or(s)
         }
-    }
-
-    /// Apply the valuation to a tagged tuple.
-    pub fn apply_tuple(&self, t: &TaggedTuple) -> TaggedTuple {
-        t.map_symbols(|s| self.apply(s))
     }
 }
 
@@ -352,6 +347,7 @@ pub fn equivalent_templates(a: &Template, b: &Template) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::TaggedTuple;
     use viewcap_base::{Catalog, RelId};
 
     fn setup() -> (Catalog, RelId) {

@@ -63,10 +63,7 @@ pub use index::{leapfrog_intersect, scheme_key, ByteTrie, TupleIndex};
 pub use ops::{join_templates, project_template};
 pub use recognize::expression_realization;
 pub use reduce::reduce;
-pub use search::{
-    for_each_candidate, for_each_candidate_with, CandidateSpace, SearchLimits, SearchOptions,
-    SearchOverflow, SearchStats,
-};
+pub use search::{for_each_candidate, CandidateSpace, SearchLimits, SearchOverflow, SearchStats};
 pub use snapshot::{load_space, save_space, space_digest, SPACE_FORMAT};
 pub use subst::{apply_assignment, substitute, Assignment, Substitution};
 pub use template::{TaggedTuple, Template};

@@ -20,12 +20,14 @@
 //! the (reduced) goal template. One corner is documented in
 //! [`for_each_candidate`]: skeletons requiring a fully hidden operand whose
 //! hidden columns overlap the live TRS may escape the normalized grammar;
-//! the literal paper procedure (`viewcap-core::paper_procedure`) serves as a
-//! cross-check on small instances.
+//! the literal paper procedure (the test oracle in
+//! `tests/support/paper_procedure.rs`) serves as a cross-check on small
+//! instances.
 //!
-//! Candidates are deduplicated *semantically*: reduced templates are
-//! bucketed by canonical key and confirmed by homomorphism, so each distinct
-//! mapping is visited once, which keeps level sizes small.
+//! Intermediate templates are always reduced, and candidates are
+//! deduplicated *semantically*: reduced templates are bucketed by canonical
+//! key and confirmed by homomorphism, so each distinct mapping is visited
+//! once, which keeps level sizes small.
 
 use crate::canon::{canonical_key, CanonKey};
 use crate::hom::equivalent_templates;
@@ -36,6 +38,7 @@ use crate::template::Template;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
+use viewcap_base::scheme::MAX_SUBSET_ATTRS;
 use viewcap_base::{Catalog, RelId, Scheme};
 use viewcap_obs as obs;
 
@@ -83,42 +86,18 @@ impl fmt::Display for SearchOverflow {
 
 impl std::error::Error for SearchOverflow {}
 
-/// Counters describing what a search did; the engine's enumeration
-/// statistics sum them over its contexts.
+/// Cumulative counters of the enumeration work a space has built; the
+/// engine's enumeration statistics sum them over its contexts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Join combinations examined.
     pub combos: u64,
-    /// Candidate roots handed to the callback.
+    /// Deduplicated candidate roots kept.
     pub roots_visited: u64,
     /// Parts kept after deduplication.
     pub parts_kept: u64,
     /// Candidates dropped as semantically duplicate (parts/joins/roots).
     pub dedup_hits: u64,
-}
-
-/// Tuning knobs for the search (the defaults are what the decision
-/// procedures use; the ablation bench flips them).
-#[derive(Clone, Copy, Debug)]
-pub struct SearchOptions {
-    /// Deduplicate candidates semantically (canonical-key buckets confirmed
-    /// by homomorphism). Turning this off makes the search visit every
-    /// structurally distinct normalized expression — exponentially more
-    /// work, same answers.
-    pub semantic_dedup: bool,
-    /// Reduce intermediate templates. Turning this off keeps raw
-    /// Algorithm 2.1.1 compositions (larger templates, more hom work
-    /// downstream), same answers.
-    pub reduce_intermediates: bool,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions {
-            semantic_dedup: true,
-            reduce_intermediates: true,
-        }
-    }
 }
 
 use viewcap_expr::Expr;
@@ -137,14 +116,23 @@ type ComboSink<'a> = &'a mut dyn FnMut(&[(usize, usize)]) -> Result<(), SearchOv
 /// therefore which equivalent witness the search keeps first — identical
 /// across permuted catalogs, which is what lets cold runs emit
 /// byte-identical witnesses and makes persisted spaces portable.
-fn canonical_proper_subsets(trs: &Scheme, ranks: &[u32]) -> Vec<Scheme> {
+///
+/// A scheme wider than [`MAX_SUBSET_ATTRS`] (reachable by joining wide
+/// atoms) has too many projections to enumerate; that is an overflow —
+/// "unknown" — like any other exhausted budget.
+fn canonical_proper_subsets(trs: &Scheme, ranks: &[u32]) -> Result<Vec<Scheme>, SearchOverflow> {
+    if trs.len() > MAX_SUBSET_ATTRS {
+        return Err(SearchOverflow {
+            context: "scheme too wide to enumerate its projections",
+        });
+    }
     let mut subs = trs.proper_nonempty_subsets();
     subs.sort_by_cached_key(|s| {
         let mut key: Vec<u32> = s.iter().map(|a| ranks[a.index()]).collect();
         key.sort_unstable();
         (s.len(), key)
     });
-    subs
+    Ok(subs)
 }
 
 /// A deduplicated candidate: an expression and its reduced template.
@@ -159,15 +147,13 @@ pub(crate) struct Part {
 /// (see [`CandidateSpace::ensure_level`]); [`Dedup::commit`] discards the
 /// journal once a level is final.
 pub(crate) struct Dedup {
-    enabled: bool,
     buckets: HashMap<CanonKey, Vec<Template>>,
     trail: Vec<CanonKey>,
 }
 
 impl Dedup {
-    pub(crate) fn new(enabled: bool) -> Self {
+    pub(crate) fn new() -> Self {
         Dedup {
-            enabled,
             buckets: HashMap::new(),
             trail: Vec::new(),
         }
@@ -175,9 +161,6 @@ impl Dedup {
 
     /// Returns `true` when an equivalent template was already recorded.
     pub(crate) fn seen(&mut self, t: &Template, stats: &mut SearchStats) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let key = canonical_key(t);
         let exact = key.is_exact();
         let bucket = self.buckets.entry(key.clone()).or_default();
@@ -269,7 +252,6 @@ pub(crate) struct Level {
 /// scratch catalog and the space side by side.
 pub struct CandidateSpace {
     pub(crate) atoms: Vec<RelId>,
-    pub(crate) options: SearchOptions,
     /// `parts[k]` = deduplicated parts of exactly `k` atoms (index 0 unused).
     pub(crate) parts: Vec<Vec<Part>>,
     pub(crate) levels: Vec<Level>,
@@ -278,23 +260,19 @@ pub struct CandidateSpace {
     pub(crate) root_dedup: Dedup,
     /// Cumulative counters over all committed build work.
     pub(crate) stats: SearchStats,
-    /// Probes served (for reuse reporting).
-    pub(crate) probes: u64,
 }
 
 impl CandidateSpace {
     /// An empty space over `atoms`; no level is built until a probe asks.
-    pub fn new(atoms: &[RelId], options: SearchOptions) -> Self {
+    pub fn new(atoms: &[RelId]) -> Self {
         CandidateSpace {
             atoms: atoms.to_vec(),
-            options,
             parts: vec![Vec::new()],
             levels: Vec::new(),
-            part_dedup: Dedup::new(options.semantic_dedup),
-            join_dedup: Dedup::new(options.semantic_dedup),
-            root_dedup: Dedup::new(options.semantic_dedup),
+            part_dedup: Dedup::new(),
+            join_dedup: Dedup::new(),
+            root_dedup: Dedup::new(),
             stats: SearchStats::default(),
-            probes: 0,
         }
     }
 
@@ -309,20 +287,13 @@ impl CandidateSpace {
         self.levels.len()
     }
 
-    /// Probes served so far.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
     /// Enumerate candidates with at most `max_atoms` atoms whose TRS is
     /// `target_trs` (all roots when `None`), reusing every already-built
     /// level and extending the space on demand.
     ///
     /// Returns `Ok(true)` when the callback broke, `Ok(false)` when the
-    /// (bounded) space was exhausted. The returned [`SearchStats`] count
-    /// this probe's *incremental* work: combinations and parts from levels
-    /// it had to build, plus the roots it delivered — for a probe fully
-    /// served from memo, `combos` is 0.
+    /// (bounded) space was exhausted. The work of any level it had to
+    /// build is added to [`CandidateSpace::stats`].
     ///
     /// `catalog` must be the catalog the atoms live in, the same for every
     /// probe of this space.
@@ -333,16 +304,10 @@ impl CandidateSpace {
         target_trs: Option<&Scheme>,
         limits: &SearchLimits,
         f: &mut dyn FnMut(&Expr, &Template) -> ControlFlow<()>,
-    ) -> Result<(bool, SearchStats), SearchOverflow> {
-        self.probes += 1;
-        let mut probe_stats = SearchStats::default();
+    ) -> Result<bool, SearchOverflow> {
         for k in 1..=max_atoms {
             if k > self.levels.len() {
-                let before = self.stats;
                 self.ensure_level(catalog, k, limits)?;
-                probe_stats.combos += self.stats.combos - before.combos;
-                probe_stats.parts_kept += self.stats.parts_kept - before.parts_kept;
-                probe_stats.dedup_hits += self.stats.dedup_hits - before.dedup_hits;
             } else if self.levels[k - 1].visits_after > limits.max_visits {
                 // A fresh run with these limits would have overflowed while
                 // examining this level's combinations.
@@ -367,13 +332,12 @@ impl CandidateSpace {
             };
             for &i in indices {
                 let root = &level.roots[i as usize];
-                probe_stats.roots_visited += 1;
                 if f(&root.expr, &root.tpl).is_break() {
-                    return Ok((true, probe_stats));
+                    return Ok(true);
                 }
             }
         }
-        Ok((false, probe_stats))
+        Ok(false)
     }
 
     /// Build level `k` (which must be the next unbuilt level) under the
@@ -422,7 +386,6 @@ impl CandidateSpace {
     ) -> Result<(), SearchOverflow> {
         let CandidateSpace {
             atoms,
-            options,
             parts,
             levels,
             part_dedup,
@@ -431,13 +394,6 @@ impl CandidateSpace {
             stats,
             ..
         } = self;
-        let maybe_reduce = |t: &Template| {
-            if options.reduce_intermediates {
-                reduce(t)
-            } else {
-                t.clone()
-            }
-        };
         // Visits continue cumulatively across levels, exactly as one fresh
         // bottom-up search would count them.
         let mut visits: u64 = levels.last().map_or(0, |l| l.visits_after);
@@ -457,8 +413,8 @@ impl CandidateSpace {
                     });
                 }
                 // Proper projections of the atom, in content order.
-                for x in canonical_proper_subsets(&tpl.trs(), &ranks) {
-                    let p = maybe_reduce(&project_template(&tpl, &x).expect("X ⊆ TRS"));
+                for x in canonical_proper_subsets(&tpl.trs(), &ranks)? {
+                    let p = reduce(&project_template(&tpl, &x).expect("X ⊆ TRS"));
                     if !part_dedup.seen(&p, stats) {
                         new_parts.push(Part {
                             expr: Expr::project(Expr::rel(r), x, catalog).expect("X ⊆ TRS of atom"),
@@ -484,7 +440,7 @@ impl CandidateSpace {
                     for c in &children[1..] {
                         tpl = join_templates(&tpl, &c.tpl);
                     }
-                    let tpl = maybe_reduce(&tpl);
+                    let tpl = reduce(&tpl);
                     if join_dedup.seen(&tpl, stats) {
                         return Ok(());
                     }
@@ -492,8 +448,8 @@ impl CandidateSpace {
                         .expect("≥ 2 children");
                     // Proper projections become parts of size k, in
                     // content order.
-                    for x in canonical_proper_subsets(&tpl.trs(), &ranks) {
-                        let p = maybe_reduce(&project_template(&tpl, &x).expect("X ⊆ TRS"));
+                    for x in canonical_proper_subsets(&tpl.trs(), &ranks)? {
+                        let p = reduce(&project_template(&tpl, &x).expect("X ⊆ TRS"));
                         if !part_dedup.seen(&p, stats) {
                             new_parts.push(Part {
                                 expr: Expr::project(expr.clone(), x, catalog)
@@ -567,30 +523,7 @@ pub fn for_each_candidate(
     limits: &SearchLimits,
     f: &mut dyn FnMut(&Expr, &Template) -> ControlFlow<()>,
 ) -> Result<bool, SearchOverflow> {
-    for_each_candidate_with(
-        catalog,
-        atoms,
-        max_atoms,
-        target_trs,
-        limits,
-        SearchOptions::default(),
-        f,
-    )
-    .map(|(broke, _)| broke)
-}
-
-/// [`for_each_candidate`] with explicit [`SearchOptions`], returning the
-/// search counters alongside the outcome.
-pub fn for_each_candidate_with(
-    catalog: &Catalog,
-    atoms: &[RelId],
-    max_atoms: usize,
-    target_trs: Option<&Scheme>,
-    limits: &SearchLimits,
-    options: SearchOptions,
-    f: &mut dyn FnMut(&Expr, &Template) -> ControlFlow<()>,
-) -> Result<(bool, SearchStats), SearchOverflow> {
-    CandidateSpace::new(atoms, options).probe(catalog, max_atoms, target_trs, limits, f)
+    CandidateSpace::new(atoms).probe(catalog, max_atoms, target_trs, limits, f)
 }
 
 /// Enumerate strictly increasing `(size, index)` selections from `parts`
@@ -752,87 +685,15 @@ mod tests {
     }
 
     #[test]
-    fn disabling_dedup_preserves_answers() {
-        // Ablation: without semantic dedup the search visits more roots but
-        // the set of reachable mappings is identical.
-        let (cat, atoms) = setup();
-        let collect_with = |options: SearchOptions| {
-            let mut tpls: Vec<Template> = Vec::new();
-            let (_, stats) = for_each_candidate_with(
-                &cat,
-                &atoms,
-                2,
-                None,
-                &SearchLimits::default(),
-                options,
-                &mut |_, t| {
-                    if !tpls.iter().any(|u| equivalent_templates(u, t)) {
-                        tpls.push(t.clone());
-                    }
-                    ControlFlow::Continue(())
-                },
-            )
-            .unwrap();
-            (tpls, stats)
-        };
-        let (with, s_with) = collect_with(SearchOptions::default());
-        let (without, s_without) = collect_with(SearchOptions {
-            semantic_dedup: false,
-            reduce_intermediates: true,
-        });
-        assert_eq!(with.len(), without.len());
-        for t in &with {
-            assert!(without.iter().any(|u| equivalent_templates(u, t)));
-        }
-        assert!(s_without.roots_visited >= s_with.roots_visited);
-        assert_eq!(s_without.dedup_hits, 0);
-        assert!(s_with.dedup_hits > 0);
-    }
-
-    #[test]
-    fn disabling_reduction_preserves_answers() {
-        let (cat, atoms) = setup();
-        let goal = reduce(&template_of_expr(
-            &parse_expr("pi{A,C}(R * S)", &cat).unwrap(),
-            &cat,
-        ));
-        let mut hit = false;
-        let (broke, _) = for_each_candidate_with(
-            &cat,
-            &atoms,
-            2,
-            Some(&goal.trs()),
-            &SearchLimits::default(),
-            SearchOptions {
-                semantic_dedup: true,
-                reduce_intermediates: false,
-            },
-            &mut |_, t| {
-                if equivalent_templates(t, &goal) {
-                    hit = true;
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )
-        .unwrap();
-        assert!(broke && hit);
-    }
-
-    #[test]
     fn stats_count_roots() {
         let (cat, atoms) = setup();
-        let (_, stats) = for_each_candidate_with(
-            &cat,
-            &atoms,
-            1,
-            None,
-            &SearchLimits::default(),
-            SearchOptions::default(),
-            &mut |_, _| ControlFlow::Continue(()),
-        )
-        .unwrap();
+        let mut space = CandidateSpace::new(&atoms);
+        space
+            .probe(&cat, 1, None, &SearchLimits::default(), &mut |_, _| {
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+        let stats = space.stats();
         assert_eq!(stats.roots_visited, 6); // R, π_A R, π_B R, S, π_B S, π_C S
         assert_eq!(stats.parts_kept, 6);
     }
@@ -872,25 +733,28 @@ mod tests {
     #[test]
     fn space_probes_share_the_enumeration() {
         let (cat, atoms) = setup();
-        let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(&atoms);
         let limits = SearchLimits::default();
         let count = |space: &mut CandidateSpace| {
             let mut n = 0usize;
-            let (_, stats) = space
+            space
                 .probe(&cat, 3, None, &limits, &mut |_, _| {
                     n += 1;
                     ControlFlow::Continue(())
                 })
                 .unwrap();
-            (n, stats)
+            n
         };
-        let (n1, s1) = count(&mut space);
-        let (n2, s2) = count(&mut space);
+        let n1 = count(&mut space);
+        let after_first = space.stats();
+        let n2 = count(&mut space);
         assert_eq!(n1, n2, "probes must see identical roots");
-        assert!(s1.combos > 0, "first probe pays the enumeration");
-        assert_eq!(s2.combos, 0, "second probe is served from the memo");
-        assert_eq!(s2.parts_kept, 0);
-        assert_eq!(space.probes(), 2);
+        assert!(after_first.combos > 0, "first probe pays the enumeration");
+        assert_eq!(
+            space.stats(),
+            after_first,
+            "second probe is served from the memo"
+        );
         assert_eq!(space.built_levels(), 3);
     }
 
@@ -899,7 +763,7 @@ mod tests {
         let (cat, atoms) = setup();
         let limits = SearchLimits::default();
         let collect_fresh = |max_atoms: usize| collect(&cat, &atoms, max_atoms, None);
-        let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(&atoms);
         for max_atoms in [1usize, 2, 3] {
             let mut shared: Vec<(Expr, Template)> = Vec::new();
             space
@@ -917,17 +781,17 @@ mod tests {
         }
         // Total build work equals one full bound-3 enumeration, not the sum
         // of three fresh runs.
-        let (_, fresh3) = for_each_candidate_with(
-            &cat,
-            &atoms,
-            3,
-            None,
-            &limits,
-            SearchOptions::default(),
-            &mut |_, _| ControlFlow::Continue(()),
-        )
-        .unwrap();
-        assert_eq!(space.stats().combos, fresh3.combos);
+        let mut fresh3 = CandidateSpace::new(&atoms);
+        fresh3
+            .probe(
+                &cat,
+                3,
+                None,
+                &limits,
+                &mut |_, _| ControlFlow::Continue(()),
+            )
+            .unwrap();
+        assert_eq!(space.stats().combos, fresh3.stats().combos);
     }
 
     #[test]
@@ -935,7 +799,7 @@ mod tests {
         let (cat, atoms) = setup();
         let b = cat.lookup_attr("B").unwrap();
         let target = Scheme::new([b]).unwrap();
-        let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(&atoms);
         let mut narrowed = Vec::new();
         space
             .probe(
@@ -977,7 +841,7 @@ mod tests {
         .map(|names| Scheme::collect(names.iter().map(|n| attr(n))))
         .collect();
 
-        let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(&atoms);
         for max_visits in (1u64..=1000).step_by(13).chain([2, 3, 1000]) {
             let limits = SearchLimits {
                 max_level_parts: 20_000,
@@ -1019,7 +883,7 @@ mod tests {
     #[test]
     fn overflowed_builds_roll_back_and_larger_budgets_rebuild() {
         let (cat, atoms) = setup();
-        let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(&atoms);
         let tiny = SearchLimits {
             max_level_parts: 20_000,
             max_visits: 1,
@@ -1051,7 +915,7 @@ mod tests {
     #[test]
     fn per_probe_part_budget_is_respected_after_commit() {
         let (cat, atoms) = setup();
-        let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(&atoms);
         // Build level 1 with a generous budget (6 parts kept).
         space
             .probe(&cat, 1, None, &SearchLimits::default(), &mut |_, _| {

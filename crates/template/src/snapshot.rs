@@ -10,8 +10,8 @@
 //! fleet: a fresh process loads the snapshot instead of re-enumerating.
 //!
 //! **Addressing.** A snapshot is keyed by [`space_digest`]: a 128-bit
-//! content hash of the search options plus, per atom in order, the sorted
-//! attribute *names* of its scheme. Deliberately independent of relation
+//! content hash of, per atom in order, the sorted attribute *names* of its
+//! scheme. Deliberately independent of relation
 //! names (scratch λ names embed mint counters), of query bodies, and of
 //! search limits (level content is limit-independent) — any two view
 //! contexts whose λ-atoms have the same TRS sequence share one snapshot.
@@ -20,14 +20,18 @@
 //! `VCAPSPCE`):
 //!
 //! ```text
-//! attr_table  codec name table       options  u8 (bit 0 semantic_dedup,
-//! atoms       u32 count, schemes              bit 1 reduce_intermediates)
+//! attr_table  codec name table       options  u8, always 0b11
+//! atoms       u32 count, schemes
 //! dedup_hits  u64                    levels   u32 count, then per level:
 //!   visits_after u64; parts and joins: each u32 count, (expr, template)s
 //! scheme      u32 count, attr refs sorted by attribute name
 //! expr        tag u8: 0 atom position u32 | 1 scheme, child | 2 u32 n, n children
 //! template    codec tagged-tuple rows; the rel ref is an atom position
 //! ```
+//!
+//! The options byte (and the matching word in [`space_digest`]) is the
+//! constant `0b11`; it stays so that stored snapshots and space keys keep
+//! their values.
 //!
 //! Relations are addressed *positionally* (index into the atom sequence).
 //! Per level the snapshot stores exactly what [`CandidateSpace`] cannot
@@ -44,7 +48,7 @@ use crate::codec::{
     self, put_template, put_u32, put_u64, CodecError, Format, Interner, Reader, MAX_EXPR_DEPTH,
 };
 use crate::index::{scheme_key, ByteTrie};
-use crate::search::{CandidateSpace, Level, Part, SearchOptions, SearchStats};
+use crate::search::{CandidateSpace, Level, Part, SearchStats};
 use crate::template::{TaggedTuple, Template};
 use std::collections::HashMap;
 use viewcap_base::{AttrId, Catalog, ContentHasher, RelId, Scheme, Symbol};
@@ -57,16 +61,16 @@ pub const SPACE_FORMAT: Format = Format {
     label: "space snapshot",
 };
 
-/// Content digest addressing a space: options + the ordered sequence of
-/// atom target relation schemes, by attribute *name*.
+/// Content digest addressing a space: the ordered sequence of atom target
+/// relation schemes, by attribute *name*.
 ///
 /// Independent of attribute/relation interning order, of the atoms'
 /// (scratch) names, and of later catalog growth — two catalogs declaring
 /// the same relations in any order agree on every view's space digest.
-pub fn space_digest(catalog: &Catalog, atoms: &[RelId], options: SearchOptions) -> u128 {
+pub fn space_digest(catalog: &Catalog, atoms: &[RelId]) -> u128 {
     let mut h = ContentHasher::new();
     h.word(0x5350_4143_4553_4E41); // domain tag: space snapshot
-    h.word(option_bits(options) as u64);
+    h.word(OPTIONS_BYTE as u64);
     h.word(atoms.len() as u64);
     for &r in atoms {
         let scheme = catalog.scheme_of(r);
@@ -80,10 +84,9 @@ pub fn space_digest(catalog: &Catalog, atoms: &[RelId], options: SearchOptions) 
     h.finish()
 }
 
-/// Bit 0 `semantic_dedup`, bit 1 `reduce_intermediates`.
-fn option_bits(options: SearchOptions) -> u8 {
-    options.semantic_dedup as u8 | ((options.reduce_intermediates as u8) << 1)
-}
+/// The options byte: the search always dedups semantically (bit 0) and
+/// reduces intermediate templates (bit 1).
+const OPTIONS_BYTE: u8 = 0b11;
 
 // ------------------------------------------------------------- serializing
 
@@ -153,7 +156,7 @@ pub fn save_space(space: &CandidateSpace, catalog: &Catalog) -> Vec<u8> {
         body: Vec::new(),
     };
     // Body first (interning attribute refs as it goes), table after.
-    w.body.push(option_bits(space.options));
+    w.body.push(OPTIONS_BYTE);
     put_u32(&mut w.body, space.atoms.len() as u32);
     for &r in &space.atoms {
         w.scheme(catalog.scheme_of(r));
@@ -263,8 +266,8 @@ impl Loader<'_> {
 /// `catalog`.
 ///
 /// The snapshot must describe a space with the same atom signature (the
-/// ordered sequence of TRS attribute-name sets) and the same options;
-/// anything else is a [`CodecError::Mismatch`]. Dedup state, root
+/// ordered sequence of TRS attribute-name sets) and carry the options byte
+/// `0b11`; anything else is a [`CodecError::Mismatch`]. Dedup state, root
 /// lists, per-level TRS indexes, and stats are rebuilt by replaying the
 /// commit path over the stored parts and joins, so every probe of the
 /// returned space behaves exactly as it would on a freshly enumerated
@@ -273,7 +276,6 @@ pub fn load_space(
     bytes: &[u8],
     catalog: &Catalog,
     atoms: &[RelId],
-    options: SearchOptions,
 ) -> Result<CandidateSpace, CodecError> {
     let mut r = codec::open(bytes, &SPACE_FORMAT)?;
 
@@ -291,11 +293,7 @@ pub fn load_space(
     };
 
     // Options + atom signature must agree with the loading space.
-    let flags = r.u8()?;
-    if flags & !0b11 != 0 {
-        return Err(r.corrupt("unknown option bits"));
-    }
-    if flags != option_bits(options) {
+    if r.u8()? != OPTIONS_BYTE {
         return Err(CodecError::Mismatch("search options differ"));
     }
     if r.count(4)? != atoms.len() {
@@ -311,7 +309,7 @@ pub fn load_space(
     // Replay the levels through the same dedup + commit path the builder
     // uses; any replay contradiction (a stored candidate that dedups away)
     // means the snapshot does not describe a canonical enumeration.
-    let mut space = CandidateSpace::new(atoms, options);
+    let mut space = CandidateSpace::new(atoms);
     let mut scratch = SearchStats::default();
     let n_levels = r.count(12)?;
     for _ in 0..n_levels {
@@ -373,7 +371,7 @@ mod tests {
     }
 
     fn built_space(cat: &Catalog, atoms: &[RelId], max_atoms: usize) -> CandidateSpace {
-        let mut space = CandidateSpace::new(atoms, SearchOptions::default());
+        let mut space = CandidateSpace::new(atoms);
         space
             .probe(
                 cat,
@@ -408,7 +406,7 @@ mod tests {
         let (cat, atoms) = setup();
         let mut original = built_space(&cat, &atoms, 3);
         let bytes = save_space(&original, &cat);
-        let mut loaded = load_space(&bytes, &cat, &atoms, SearchOptions::default()).unwrap();
+        let mut loaded = load_space(&bytes, &cat, &atoms).unwrap();
         assert_eq!(loaded.built_levels(), original.built_levels());
         assert_eq!(loaded.stats(), original.stats());
         assert_eq!(
@@ -425,7 +423,7 @@ mod tests {
         let (cat, atoms) = setup();
         let shallow = built_space(&cat, &atoms, 2);
         let bytes = save_space(&shallow, &cat);
-        let mut loaded = load_space(&bytes, &cat, &atoms, SearchOptions::default()).unwrap();
+        let mut loaded = load_space(&bytes, &cat, &atoms).unwrap();
         // Extending the loaded space one more level matches a fresh bound-3
         // enumeration exactly.
         let mut fresh = built_space(&cat, &atoms, 3);
@@ -444,29 +442,10 @@ mod tests {
         let s = cat2.relation("S", &["C", "B"]).unwrap();
         let r = cat2.relation("R", &["B", "A"]).unwrap();
         let atoms2 = vec![r, s];
-        let opts = SearchOptions::default();
-        assert_eq!(
-            space_digest(&cat1, &atoms1, opts),
-            space_digest(&cat2, &atoms2, opts)
-        );
+        assert_eq!(space_digest(&cat1, &atoms1), space_digest(&cat2, &atoms2));
         // Different atom order → different digest.
         let swapped = vec![s, r];
-        assert_ne!(
-            space_digest(&cat2, &atoms2, opts),
-            space_digest(&cat2, &swapped, opts)
-        );
-        // Different options → different digest.
-        assert_ne!(
-            space_digest(&cat1, &atoms1, opts),
-            space_digest(
-                &cat1,
-                &atoms1,
-                SearchOptions {
-                    semantic_dedup: false,
-                    reduce_intermediates: true
-                }
-            )
-        );
+        assert_ne!(space_digest(&cat2, &atoms2), space_digest(&cat2, &swapped));
     }
 
     #[test]
@@ -479,7 +458,7 @@ mod tests {
         let s = cat2.relation("S", &["C", "B"]).unwrap();
         let r = cat2.relation("R", &["B", "A"]).unwrap();
         let atoms2 = vec![r, s];
-        let mut loaded = load_space(&bytes, &cat2, &atoms2, SearchOptions::default()).unwrap();
+        let mut loaded = load_space(&bytes, &cat2, &atoms2).unwrap();
         let mut fresh2 = built_space(&cat2, &atoms2, 3);
         // The ported space is exactly what cat2 would have built cold —
         // same witnesses rendered against cat2's names.
@@ -503,28 +482,26 @@ mod tests {
         let (cat, atoms) = setup();
         let space = built_space(&cat, &atoms, 2);
         let bytes = save_space(&space, &cat);
-        // Wrong options.
+        // Wrong options byte, in an otherwise valid frame.
+        let mut r = codec::open(&bytes, &SPACE_FORMAT).unwrap();
+        r.table().unwrap();
+        let mut payload = bytes[20..].to_vec(); // past magic, version, checksum
+        let at = payload.len() - r.remaining();
+        assert_eq!(payload[at], OPTIONS_BYTE);
+        payload[at] = 0b01;
         assert!(matches!(
-            load_space(
-                &bytes,
-                &cat,
-                &atoms,
-                SearchOptions {
-                    semantic_dedup: false,
-                    reduce_intermediates: true
-                }
-            ),
+            load_space(&codec::seal(&SPACE_FORMAT, &payload), &cat, &atoms),
             Err(CodecError::Mismatch(_))
         ));
         // Wrong atom count.
         assert!(matches!(
-            load_space(&bytes, &cat, &atoms[..1], SearchOptions::default()),
+            load_space(&bytes, &cat, &atoms[..1]),
             Err(CodecError::Mismatch(_))
         ));
         // Swapped atoms → schemes disagree positionally.
         let swapped = vec![atoms[1], atoms[0]];
         assert!(matches!(
-            load_space(&bytes, &cat, &swapped, SearchOptions::default()),
+            load_space(&bytes, &cat, &swapped),
             Err(CodecError::Mismatch(_))
         ));
     }
@@ -538,14 +515,14 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(
-            load_space(&bad, &cat, &atoms, SearchOptions::default()),
+            load_space(&bad, &cat, &atoms),
             Err(CodecError::BadMagic { .. })
         ));
         // Bad version.
         let mut bad = bytes.clone();
         bad[8] = 0xFF;
         assert!(matches!(
-            load_space(&bad, &cat, &atoms, SearchOptions::default()),
+            load_space(&bad, &cat, &atoms),
             Err(CodecError::VersionMismatch { .. })
         ));
         // Flipped payload byte → checksum catches it.
@@ -553,12 +530,12 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
         assert!(matches!(
-            load_space(&bad, &cat, &atoms, SearchOptions::default()),
+            load_space(&bad, &cat, &atoms),
             Err(CodecError::ChecksumMismatch { .. })
         ));
         // Truncations never panic.
         for len in 0..bytes.len() {
-            assert!(load_space(&bytes[..len], &cat, &atoms, SearchOptions::default()).is_err());
+            assert!(load_space(&bytes[..len], &cat, &atoms).is_err());
         }
     }
 }

@@ -13,14 +13,14 @@
 //!
 //! The invariant under every fault: [`load_space`] never panics and
 //! never yields a space — it returns a [`CodecError`]. A mismatched
-//! but *valid* snapshot (wrong atoms, wrong options) is likewise
+//! but *valid* snapshot (wrong atoms, wrong options byte) is likewise
 //! rejected, as `Mismatch`.
 
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 use viewcap_base::{Catalog, RelId};
 use viewcap_template::{
-    load_space, save_space, CandidateSpace, CodecError, SearchLimits, SearchOptions,
+    codec, load_space, save_space, CandidateSpace, CodecError, SearchLimits, SPACE_FORMAT,
 };
 
 fn setup() -> (Catalog, Vec<RelId>) {
@@ -31,7 +31,7 @@ fn setup() -> (Catalog, Vec<RelId>) {
 }
 
 fn built_space(cat: &Catalog, atoms: &[RelId], max_atoms: usize) -> CandidateSpace {
-    let mut space = CandidateSpace::new(atoms, SearchOptions::default());
+    let mut space = CandidateSpace::new(atoms);
     space
         .probe(
             cat,
@@ -55,9 +55,9 @@ fn snapshot_bytes() -> (Catalog, Vec<RelId>, Vec<u8>) {
 fn truncation_at_every_byte_offset_is_rejected() {
     let (cat, atoms, bytes) = snapshot_bytes();
     // Sanity: the untouched snapshot loads.
-    load_space(&bytes, &cat, &atoms, SearchOptions::default()).unwrap();
+    load_space(&bytes, &cat, &atoms).unwrap();
     for cut in 0..bytes.len() {
-        let Err(err) = load_space(&bytes[..cut], &cat, &atoms, SearchOptions::default()) else {
+        let Err(err) = load_space(&bytes[..cut], &cat, &atoms) else {
             panic!("cut={cut}: every proper prefix must be rejected");
         };
         // A prefix is torn framing or a checksum that cannot match —
@@ -77,7 +77,7 @@ fn single_byte_flip_at_every_position_is_rejected() {
             let mut damaged = bytes.clone();
             damaged[pos] ^= flip;
             assert!(
-                load_space(&damaged, &cat, &atoms, SearchOptions::default()).is_err(),
+                load_space(&damaged, &cat, &atoms).is_err(),
                 "pos={pos} flip={flip:#x} must be rejected"
             );
         }
@@ -90,23 +90,25 @@ fn mismatched_context_is_rejected_not_misloaded() {
     // Wrong atom order.
     let swapped = vec![atoms[1], atoms[0]];
     assert!(matches!(
-        load_space(&bytes, &cat, &swapped, SearchOptions::default()),
+        load_space(&bytes, &cat, &swapped),
         Err(CodecError::Mismatch(_))
     ));
-    // Wrong options.
-    let other = SearchOptions {
-        semantic_dedup: false,
-        ..SearchOptions::default()
-    };
+    // Wrong options byte (the first byte after the name table), re-sealed
+    // so the frame itself is valid.
+    let mut r = codec::open(&bytes, &SPACE_FORMAT).unwrap();
+    r.table().unwrap();
+    let mut payload = bytes[20..].to_vec(); // past magic, version, checksum
+    let at = payload.len() - r.remaining();
+    payload[at] = 0b01;
     assert!(matches!(
-        load_space(&bytes, &cat, &atoms, other),
+        load_space(&codec::seal(&SPACE_FORMAT, &payload), &cat, &atoms),
         Err(CodecError::Mismatch(_))
     ));
     // A catalog declaring different content under the same names.
     let mut alien = Catalog::new();
     let r = alien.relation("R", &["A", "B", "C"]).unwrap();
     let s = alien.relation("S", &["B", "C"]).unwrap();
-    assert!(load_space(&bytes, &alien, &[r, s], SearchOptions::default()).is_err());
+    assert!(load_space(&bytes, &alien, &[r, s]).is_err());
 }
 
 proptest! {
@@ -121,7 +123,7 @@ proptest! {
         let mut damaged = bytes.clone();
         damaged[pos] ^= flip;
         prop_assert!(
-            load_space(&damaged, &cat, &atoms, SearchOptions::default()).is_err()
+            load_space(&damaged, &cat, &atoms).is_err()
         );
     }
 
@@ -131,7 +133,7 @@ proptest! {
     fn garbage_is_rejected(blob in proptest::collection::vec(any::<u8>(), 0..512)) {
         let (cat, atoms, _) = snapshot_bytes();
         prop_assert!(
-            load_space(&blob, &cat, &atoms, SearchOptions::default()).is_err()
+            load_space(&blob, &cat, &atoms).is_err()
         );
     }
 
@@ -143,7 +145,7 @@ proptest! {
         let mut damaged = bytes.clone();
         damaged.extend_from_slice(&garbage);
         prop_assert!(
-            load_space(&damaged, &cat, &atoms, SearchOptions::default()).is_err()
+            load_space(&damaged, &cat, &atoms).is_err()
         );
     }
 }

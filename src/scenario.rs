@@ -1271,6 +1271,19 @@ check member V R
     }
 
     #[test]
+    fn joins_too_wide_to_enumerate_are_an_overflow_not_a_panic() {
+        // The 18-attribute join of two 9-attribute atoms has too many
+        // projections to enumerate; the search must report "unknown".
+        let src = "rel R(A, B, C, D, E, F, G, H, I)\n\
+                   rel S(J, K, L, M, N, O, P, Q, T)\n\
+                   view V {\n  X = R\n  Y = S\n}\n\
+                   check member V pi{A,J}(R * S)\n";
+        let err = run_scenario(src).unwrap_err();
+        assert_eq!(err.line, 7);
+        assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
+    #[test]
     fn unclosed_view_blocks_error() {
         let err = run_scenario("rel R(A)\nview V {\n  X = R\n").unwrap_err();
         assert!(err.to_string().contains("never closed"));

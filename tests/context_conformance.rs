@@ -134,7 +134,6 @@ fn overflow_is_per_probe_and_matches_fresh_runs() {
                     max_level_parts: 20_000,
                     max_visits,
                 },
-                max_atoms_override: None,
             };
             let fresh: Vec<String> = goals
                 .iter()
@@ -183,7 +182,6 @@ fn mixed_budget_probes_share_one_space_soundly() {
                 max_level_parts: 20_000,
                 max_visits: 10,
             },
-            max_atoms_override: None,
         };
         let generous = SearchBudget::default();
         let mut starved_ctx = ClosureContext::new(&queries, &cat, &starved);

@@ -6,16 +6,16 @@
 //! `V_A` of `k + 1` symbols per attribute (`k = #(Q)`), and testing each
 //! substitution against `Q`. The set `J_k` is astronomically large, so this
 //! module exists purely as a **cross-check** for the bounded search of
-//! [`crate::capacity`]: it refuses instances whose candidate count exceeds
-//! a hard cap instead of running forever.
+//! [`viewcap_core::capacity`]: it refuses instances whose candidate count
+//! exceeds a hard cap instead of running forever. It is test support, not
+//! library code: include it with a `#[path]` module.
 //!
 //! Expression-template filtering uses the constructive recognition of
 //! `viewcap-template` (our replacement for Proposition 2.4.6).
 
-use crate::capacity::SearchBudget;
-use crate::error::CoreError;
-use crate::query::Query;
 use viewcap_base::{Catalog, RelId, Symbol};
+use viewcap_core::error::CoreError;
+use viewcap_core::{Query, SearchBudget};
 use viewcap_template::{
     equivalent_templates, recognize::is_expression_template, substitute, Assignment, TaggedTuple,
     Template,
@@ -171,7 +171,7 @@ fn enumerate_subsets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::closure_contains;
+    use viewcap_core::closure_contains;
     use viewcap_expr::parse_expr;
 
     fn setup() -> Catalog {
@@ -196,8 +196,7 @@ mod tests {
         ];
         // The cross-check drives the bounded search the way production
         // callers do: one shared ClosureContext probed per goal.
-        let mut context =
-            crate::capacity::ClosureContext::new(&set, &cat, &SearchBudget::default());
+        let mut context = viewcap_core::ClosureContext::new(&set, &cat, &SearchBudget::default());
         for (src, expected) in cases {
             let goal = q(&cat, src);
             let fast = context.contains(&goal).unwrap().is_some();
