@@ -19,6 +19,12 @@
 //!
 //! A positive answer returns a [`ClosureProof`] — the construction itself —
 //! which callers can independently validate by evaluation.
+//!
+//! Steps 1–2 depend only on the query set, so they live in a
+//! [`ClosureContext`] built once per set. Its one walk over the λ-skeletons
+//! answers membership ([`ClosureContext::contains`]) and, without a goal,
+//! enumerates the frontier (`crate::closure`). [`closure_contains`] and
+//! [`cap_contains`] are the one-shot forms over a fresh context.
 
 use crate::query::Query;
 use std::collections::{BTreeSet, HashMap};
@@ -255,8 +261,13 @@ impl ClosureContext {
     /// skeletons whose TRS and RN match the goal's and whose substitution is
     /// equivalent to it (Theorem 2.3.2).
     ///
+    /// Every question about the query set goes through here: membership
+    /// ([`ClosureContext::contains`]), the frontier
+    /// ([`ClosureContext::members`]) and the exhibited constructions of
+    /// Sections 3.2–3.3 (`essential`).
+    ///
     /// Returns `Ok(true)` when `f` broke.
-    fn walk(
+    pub(crate) fn walk(
         &mut self,
         goal: Option<&Query>,
         max_atoms: usize,
@@ -341,47 +352,8 @@ impl ClosureContext {
         )
     }
 
-    /// Enumerate every construction of `goal` from the query set — each
-    /// normalized λ-skeleton within the atom bound whose substitution is
-    /// equivalent to the goal — through the same shared candidate space as
-    /// [`ClosureContext::contains`]. Where `contains` breaks at the first
-    /// witness, this keeps visiting until the callback breaks; the
-    /// essential-tuple procedures (Sections 3.2–3.3) are built on it, so
-    /// they amortize enumeration across calls instead of re-enumerating
-    /// per invocation.
-    ///
-    /// Returns `Ok(true)` when the callback broke early.
-    pub fn for_each_construction(
-        &mut self,
-        goal: &Query,
-        f: &mut dyn FnMut(&Expr, &Template, &Substitution) -> ControlFlow<()>,
-    ) -> Result<bool, SearchOverflow> {
-        self.walk(Some(goal), goal.template().len(), &mut |expr, skel, sub| {
-            f(expr, skel, &sub)
-        })
-    }
-
-    /// Enumerate every candidate construction over the query set with at
-    /// most `max_atoms` skeleton atoms — all roots of the shared space, no
-    /// goal filter — each with its substituted template over the underlying
-    /// schema. `crate::closure::ClosureContext::members` builds the
-    /// deduplicated closure frontier on top; routing through the context
-    /// shares the lazily extended space across repeated frontier sweeps
-    /// and with the membership probes of the same query set (the engine's
-    /// pooled `frontier`/`diff` path).
-    ///
-    /// Returns `Ok(true)` when the callback broke early.
-    pub fn for_each_substitution(
-        &mut self,
-        max_atoms: usize,
-        f: &mut dyn FnMut(&Expr, &Template, &Substitution) -> ControlFlow<()>,
-    ) -> Result<bool, SearchOverflow> {
-        self.walk(None, max_atoms, &mut |expr, skel, sub| f(expr, skel, &sub))
-    }
-
     /// The scratch catalog (the caller's catalog plus the minted λ names) —
-    /// constructions enumerated by [`ClosureContext::for_each_construction`]
-    /// live in it.
+    /// every skeleton the walk visits lives in it.
     pub fn scratch_catalog(&self) -> &Catalog {
         &self.scratch
     }

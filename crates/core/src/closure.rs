@@ -5,16 +5,20 @@
 //! a canonical reduced template. This module materializes the capacity's
 //! *frontier*: all pairwise-inequivalent members reachable by constructions
 //! with at most `max_atoms` skeleton atoms — useful for auditing what a
-//! view exposes, for the uniqueness experiments, and for the benchmark
-//! harness.
+//! view exposes and for diffing two versions of a view.
+//!
+//! The frontier is the membership procedure's walk without a goal
+//! (Theorem 1.5.2): [`ClosureContext::members`] is the one enumeration;
+//! [`closure_members`] and [`capacity_members`] run it through a fresh
+//! context, and [`frontier_diff`] compares two enumerated frontiers.
 
 use crate::capacity::{ClosureContext, SearchBudget};
 use crate::query::Query;
 use crate::view::View;
 use std::ops::ControlFlow;
-use viewcap_base::{Catalog, RelId};
+use viewcap_base::Catalog;
 use viewcap_expr::Expr;
-use viewcap_template::{substitute, Assignment, SearchOverflow};
+use viewcap_template::SearchOverflow;
 
 /// One enumerated member of a closure.
 #[derive(Clone, Debug)]
@@ -28,82 +32,19 @@ pub struct ClosureMember {
     pub construction_size: usize,
 }
 
-/// Enumerate the pairwise-inequivalent members of `closure(queries)`
-/// realizable with at most `max_atoms` construction atoms.
-///
-/// Members are produced in nondecreasing construction size. The callback
-/// may stop the enumeration.
-pub fn for_each_closure_member(
-    queries: &[Query],
-    max_atoms: usize,
-    catalog: &Catalog,
-    budget: &SearchBudget,
-    f: &mut dyn FnMut(&ClosureMember) -> ControlFlow<()>,
-) -> Result<(), SearchOverflow> {
-    if queries.is_empty() {
-        return Ok(());
-    }
-    let mut scratch = catalog.clone();
-    let mut beta = Assignment::new();
-    let mut atoms: Vec<RelId> = Vec::with_capacity(queries.len());
-    for q in queries {
-        let lam = scratch.fresh_relation("lam", q.trs());
-        beta.set(lam, q.template().clone(), &scratch)
-            .expect("λ type minted to match");
-        atoms.push(lam);
-    }
-    // The search engine already deduplicates semantically over the λ level;
-    // two skeletons with equivalent λ-templates substitute to equivalent
-    // members, but distinct λ-templates can also collide after
-    // substitution, so dedup again at the member level.
-    let mut seen: Vec<Query> = Vec::new();
-    viewcap_template::for_each_candidate(
-        &scratch,
-        &atoms,
-        max_atoms,
-        None,
-        &budget.limits,
-        &mut |expr, skel| {
-            let sub = substitute(skel, &beta, &scratch).expect("every λ assigned");
-            let member = Query::from_template(&sub.result);
-            if seen.iter().any(|s| s.equiv(&member)) {
-                return ControlFlow::Continue(());
-            }
-            seen.push(member.clone());
-            f(&ClosureMember {
-                query: member,
-                skeleton: expr.clone(),
-                construction_size: expr.atom_count(),
-            })
-        },
-    )?;
-    Ok(())
-}
-
-/// Collect the bounded closure frontier as a vector.
-pub fn closure_members(
-    queries: &[Query],
-    max_atoms: usize,
-    catalog: &Catalog,
-    budget: &SearchBudget,
-) -> Result<Vec<ClosureMember>, SearchOverflow> {
-    let mut out = Vec::new();
-    for_each_closure_member(queries, max_atoms, catalog, budget, &mut |m| {
-        out.push(m.clone());
-        ControlFlow::Continue(())
-    })?;
-    Ok(out)
-}
-
 impl ClosureContext {
-    /// Collect the bounded closure frontier through this shared context —
-    /// identical members, in the identical order, to [`closure_members`]
-    /// over the same query set, but reusing the context's lazily extended
-    /// candidate space across sweeps (repeated or growing-`k` frontier
-    /// requests pay only the incremental levels).
+    /// The bounded closure frontier: the pairwise-inequivalent members of
+    /// `closure(queries)` realizable with at most `max_atoms` construction
+    /// atoms, in nondecreasing construction size.
+    ///
+    /// Members come from the context's one walk over λ-skeletons with no
+    /// goal, so repeated or growing-`k` sweeps pay only the levels no
+    /// earlier sweep or membership probe built. Two skeletons whose
+    /// λ-templates differ can still substitute to equivalent members, so
+    /// members are deduplicated again after substitution.
     pub fn members(&mut self, max_atoms: usize) -> Result<Vec<ClosureMember>, SearchOverflow> {
         let mut out: Vec<ClosureMember> = Vec::new();
-        self.for_each_substitution(max_atoms, &mut |expr, _skel, sub| {
+        self.walk(None, max_atoms, &mut |expr, _skel, sub| {
             let member = Query::from_template(&sub.result);
             if !out.iter().any(|m| m.query.equiv(&member)) {
                 out.push(ClosureMember {
@@ -116,6 +57,18 @@ impl ClosureContext {
         })?;
         Ok(out)
     }
+}
+
+/// The bounded closure frontier of `queries` through a fresh
+/// [`ClosureContext`]; callers sweeping one query set repeatedly should
+/// hold the context and call [`ClosureContext::members`].
+pub fn closure_members(
+    queries: &[Query],
+    max_atoms: usize,
+    catalog: &Catalog,
+    budget: &SearchBudget,
+) -> Result<Vec<ClosureMember>, SearchOverflow> {
+    ClosureContext::new(queries, catalog, budget).members(max_atoms)
 }
 
 /// The capacity-frontier diff between two view versions: which bounded

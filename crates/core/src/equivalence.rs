@@ -49,65 +49,36 @@ pub fn dominates_via(
     Ok(Some(DominanceWitness { proofs }))
 }
 
-/// Lemma 1.5.4: does `v` dominate `w`?
-pub fn dominates_with(
-    v: &View,
-    w: &View,
-    catalog: &Catalog,
-    budget: &SearchBudget,
-) -> Result<Option<DominanceWitness>, SearchOverflow> {
-    let mut context = ClosureContext::new(v.query_set().queries(), catalog, budget);
-    dominates_via(&mut context, w)
-}
-
-/// Lemma 1.5.4 with the default budget.
+/// Lemma 1.5.4 with the default budget: does `v` dominate `w`?
 pub fn dominates(
     v: &View,
     w: &View,
     catalog: &Catalog,
 ) -> Result<Option<DominanceWitness>, SearchOverflow> {
-    dominates_with(v, w, catalog, &SearchBudget::default())
+    let budget = SearchBudget::default();
+    dominates_via(
+        &mut ClosureContext::new(v.query_set().queries(), catalog, &budget),
+        w,
+    )
 }
 
-/// Theorems 1.5.5/2.4.12 against prebuilt contexts for both sides; each
-/// direction reuses (and extends) its view's shared enumeration.
-pub fn equivalent_via(
-    v_context: &mut ClosureContext,
-    w_context: &mut ClosureContext,
+/// Theorems 1.5.5/2.4.12 with the default budget: are the views
+/// equivalent? Dominance both ways, each direction in its own context.
+pub fn equivalent(
     v: &View,
     w: &View,
+    catalog: &Catalog,
 ) -> Result<Option<EquivalenceWitness>, SearchOverflow> {
-    let Some(v_dominates_w) = dominates_via(v_context, w)? else {
+    let Some(v_dominates_w) = dominates(v, w, catalog)? else {
         return Ok(None);
     };
-    let Some(w_dominates_v) = dominates_via(w_context, v)? else {
+    let Some(w_dominates_v) = dominates(w, v, catalog)? else {
         return Ok(None);
     };
     Ok(Some(EquivalenceWitness {
         v_dominates_w,
         w_dominates_v,
     }))
-}
-
-/// Theorems 1.5.5/2.4.12: are the views equivalent?
-pub fn equivalent_with(
-    v: &View,
-    w: &View,
-    catalog: &Catalog,
-    budget: &SearchBudget,
-) -> Result<Option<EquivalenceWitness>, SearchOverflow> {
-    let mut v_context = ClosureContext::new(v.query_set().queries(), catalog, budget);
-    let mut w_context = ClosureContext::new(w.query_set().queries(), catalog, budget);
-    equivalent_via(&mut v_context, &mut w_context, v, w)
-}
-
-/// Theorems 1.5.5/2.4.12 with the default budget.
-pub fn equivalent(
-    v: &View,
-    w: &View,
-    catalog: &Catalog,
-) -> Result<Option<EquivalenceWitness>, SearchOverflow> {
-    equivalent_with(v, w, catalog, &SearchBudget::default())
 }
 
 #[cfg(test)]

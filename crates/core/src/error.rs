@@ -31,13 +31,6 @@ pub enum CoreError {
     Search(SearchOverflow),
     /// Template-level failure.
     Template(TemplateError),
-    /// The literal paper procedure refused an instance above its hard cap.
-    PaperProcedureTooLarge {
-        /// Estimated candidate-template count.
-        estimated: u128,
-        /// The configured cap.
-        cap: u128,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -63,10 +56,6 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Search(e) => write!(f, "{e}"),
             CoreError::Template(e) => write!(f, "{e}"),
-            CoreError::PaperProcedureTooLarge { estimated, cap } => write!(
-                f,
-                "paper procedure instance too large: ~{estimated} candidates exceeds cap {cap}"
-            ),
         }
     }
 }

@@ -218,7 +218,7 @@ pub fn for_each_exhibited_construction_in(
     let goal = &queries[goal_idx];
     let scratch = ctx.scratch_catalog().clone();
     let lambda_queries = ctx.lambda_queries().to_vec();
-    ctx.for_each_construction(goal, &mut |expr, skel, sub| {
+    ctx.walk(Some(goal), goal.template().len(), &mut |expr, skel, sub| {
         let mut flow = ControlFlow::Continue(());
         let _ = for_each_homomorphism(goal.template(), &sub.result, &mut |h| {
             let ec = ExhibitedConstruction {

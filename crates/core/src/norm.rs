@@ -37,7 +37,7 @@
 //!    distributes over join and projection, so distinct skeletons whose
 //!    substituted templates coincide are interchangeable. The fallback
 //!    therefore enumerates reduced substituted classes directly
-//!    ([`ClassSpace`]), where the combinatorics collapse by orders of
+//!    (`ClassSpace`), where the combinatorics collapse by orders of
 //!    magnitude, and dedups them by exact canonical key — reduced
 //!    equivalent templates are isomorphic, so no homomorphism confirms are
 //!    needed on the hot path. Spaces are pooled by allowed class set, so an
@@ -69,8 +69,8 @@ static CLASS_HIT: obs::Counter = obs::Counter::new("core.norm.class.hit");
 static JOIN_MEMO_HIT: obs::Counter = obs::Counter::new("core.norm.join.memo_hit");
 static PROJ_MEMO_HIT: obs::Counter = obs::Counter::new("core.norm.proj.memo_hit");
 use viewcap_template::{
-    canonical_key, equivalent_templates, join_templates, project_template, reduce, CanonKey,
-    SearchLimits, SearchOverflow, SearchStats, Template,
+    canonical_key, equivalent_templates, join_templates, project_template, projection_targets,
+    reduce, CanonKey, SearchLimits, SearchOverflow, SearchStats, Template,
 };
 
 /// The per-universe state of the normalization pipeline: interned
@@ -218,7 +218,15 @@ impl NormContext {
     /// themselves plus all their proper projections, interned modulo
     /// equivalence. Cheap relative to search: no enumeration happens until
     /// a probe falls through the verdict lattice.
-    pub fn new(queries: &[Query], catalog: &Catalog, budget: &SearchBudget) -> NormContext {
+    ///
+    /// An original wider than [`viewcap_base::scheme::MAX_SUBSET_ATTRS`]
+    /// has too many projections to intern; that is an overflow, as in the
+    /// skeleton search.
+    pub fn new(
+        queries: &[Query],
+        catalog: &Catalog,
+        budget: &SearchBudget,
+    ) -> Result<NormContext, SearchOverflow> {
         let mut classes: Vec<Query> = Vec::new();
         let mut buckets: HashMap<CanonKey, Vec<usize>> = HashMap::new();
         let mut intern = |q: &Query, classes: &mut Vec<Query>| -> usize {
@@ -240,7 +248,7 @@ impl NormContext {
         let n_orig = classes.len();
         for c in 0..n_orig {
             let orig = classes[c].clone();
-            for x in orig.trs().proper_nonempty_subsets() {
+            for x in projection_targets(&orig.trs())? {
                 let p = orig
                     .project(&x, catalog)
                     .expect("proper nonempty subsets are valid targets");
@@ -251,7 +259,7 @@ impl NormContext {
         let rn_of_class = classes.iter().map(|q| q.rel_names()).collect();
         let projections = vec![None; classes.len()];
         let seeded = vec![false; classes.len()];
-        NormContext {
+        Ok(NormContext {
             catalog: catalog.clone(),
             classes,
             rn_of_class,
@@ -266,7 +274,7 @@ impl NormContext {
             budget: budget.clone(),
             probes: 0,
             searched: 0,
-        }
+        })
     }
 
     /// Number of universe classes.
@@ -476,7 +484,7 @@ impl NormContext {
         }
     }
 
-    /// Class-space [`is_simple_with`](crate::simplify::is_simple_with):
+    /// Class-space [`is_simple`](crate::simplify::is_simple):
     /// `classes[i]` is simple iff the others together with its proper
     /// projections fail to generate it.
     pub fn is_simple_class(&mut self, classes: &[usize], i: usize) -> Result<bool, SearchOverflow> {
@@ -851,8 +859,10 @@ impl ClassSpace {
         };
         let mut queue = std::mem::take(&mut self.deferred);
         while let Some(id) = queue.pop() {
-            let trs = store.schemes[id as usize].clone();
-            for x in trs.proper_nonempty_subsets() {
+            let targets = projection_targets(&store.schemes[id as usize]).inspect_err(|e| {
+                self.poisoned = Some(e.context);
+            })?;
+            for x in targets {
                 self.stats.combos += 1;
                 if self.stats.combos > limits.max_visits {
                     self.poisoned = Some("visit budget exhausted");
@@ -995,7 +1005,7 @@ mod tests {
     use super::*;
     use crate::capacity::closure_contains;
     use crate::redundancy::nonredundant_indices;
-    use crate::simplify::{is_simple_with, proper_projections, simplify_queries};
+    use crate::simplify::{is_simple, proper_projections, simplify_queries};
     use viewcap_expr::parse_expr;
 
     fn setup() -> Catalog {
@@ -1026,7 +1036,7 @@ mod tests {
     fn universe_holds_originals_and_projections() {
         let cat = setup();
         let set = [q(&cat, "pi{A,B}(R) * pi{B,C}(R)"), q(&cat, "pi{B,C}(R)")];
-        let mut ctx = NormContext::new(&set, &cat, &SearchBudget::default());
+        let mut ctx = NormContext::new(&set, &cat, &SearchBudget::default()).unwrap();
         // Originals intern to the first two classes.
         assert_eq!(ctx.class_of(&set[0]), 0);
         assert_eq!(ctx.class_of(&set[1]), 1);
@@ -1054,7 +1064,7 @@ mod tests {
             q(&cat, "pi{B,C}(R)"),
         ];
         let budget = SearchBudget::default();
-        let mut ctx = NormContext::new(&set, &cat, &budget);
+        let mut ctx = NormContext::new(&set, &cat, &budget).unwrap();
         let n = ctx.class_count();
         // Every subset of the originals against every universe goal.
         let subsets: Vec<Vec<usize>> = (1u32..(1 << set.len()))
@@ -1089,7 +1099,7 @@ mod tests {
             q(&cat, "pi{B,C}(R)"),
         ];
         let budget = SearchBudget::default();
-        let mut ctx = NormContext::new(&set, &cat, &budget);
+        let mut ctx = NormContext::new(&set, &cat, &budget).unwrap();
         let n = ctx.class_count();
         let mut first = Vec::new();
         for allowed in [[0usize].as_slice(), &[1], &[2], &[1, 2], &[0, 1, 2]] {
@@ -1126,7 +1136,7 @@ mod tests {
         ];
         let budget = SearchBudget::default();
         for set in &sets {
-            let mut ctx = NormContext::new(set, &cat, &budget);
+            let mut ctx = NormContext::new(set, &cat, &budget).unwrap();
             let shared = ctx.nonredundant_indices(set).unwrap();
             let fresh = reference_nonredundant(set, &cat, &budget);
             assert_eq!(shared, fresh);
@@ -1169,7 +1179,7 @@ mod tests {
         let cat = setup();
         let set = [q(&cat, "pi{A,B}(R) * pi{B,C}(R)")];
         let budget = SearchBudget::default();
-        let mut ctx = NormContext::new(&set, &cat, &budget);
+        let mut ctx = NormContext::new(&set, &cat, &budget).unwrap();
         let shared = ctx.simplify_queries(&set).unwrap();
         let fresh = simplify_queries(&set, &cat, &budget).unwrap();
         assert_eq!(shared.len(), fresh.len());
@@ -1188,14 +1198,36 @@ mod tests {
             q(&cat, "pi{B,C}(R)"),
         ];
         let budget = SearchBudget::default();
-        let mut ctx = NormContext::new(&set, &cat, &budget);
+        let mut ctx = NormContext::new(&set, &cat, &budget).unwrap();
         let classes: Vec<usize> = set.iter().map(|q| ctx.class_of(q)).collect();
         for i in 0..set.len() {
             assert_eq!(
                 ctx.is_simple_class(&classes, i).unwrap(),
-                is_simple_with(&set, i, &cat, &budget).unwrap(),
+                is_simple(&set, i, &cat).unwrap(),
                 "query {i}"
             );
+        }
+    }
+
+    #[test]
+    fn wide_originals_and_wide_classes_are_an_overflow_not_a_panic() {
+        let mut cat = Catalog::new();
+        let attrs: Vec<String> = (0..17).map(|i| format!("A{i}")).collect();
+        let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
+        cat.relation("W", &names).unwrap();
+        let wide = [q(&cat, "W")];
+        let err = NormContext::new(&wide, &cat, &SearchBudget::default())
+            .err()
+            .expect("a 17-attribute original is refused");
+        assert_eq!(err.context, "scheme too wide to enumerate its projections");
+        // A class space reaching a class that wide (by joins, in the
+        // pipeline) refuses to project it, and stays poisoned.
+        let mut store = ClassStore::new();
+        let mut space = ClassSpace::new(&[0], &wide, &mut store);
+        let limits = SearchLimits::default();
+        for _ in 0..2 {
+            let err = space.ensure_level(2, &limits, &mut store).unwrap_err();
+            assert_eq!(err.context, "scheme too wide to enumerate its projections");
         }
     }
 }

@@ -60,7 +60,7 @@ pub fn nonredundant_indices(
     catalog: &Catalog,
     budget: &SearchBudget,
 ) -> Result<Vec<usize>, SearchOverflow> {
-    NormContext::new(queries, catalog, budget).nonredundant_indices(queries)
+    NormContext::new(queries, catalog, budget)?.nonredundant_indices(queries)
 }
 
 /// Theorem 3.1.4: an equivalent nonredundant view, keeping the surviving

@@ -34,17 +34,12 @@ pub fn proper_projections(q: &Query, catalog: &Catalog) -> Vec<Query> {
         .collect()
 }
 
-/// Is `queries[i]` simple in the set?
+/// Is `queries[i]` simple in the set? Decided under the default budget.
 ///
 /// `T` is simple iff `T ∉ closure((𝒯 − {T}) ∪ properProjections(T))`:
 /// the closure of the replacement set is always contained in the original
 /// closure, and it equals it exactly when it still reaches `T`.
-pub fn is_simple_with(
-    queries: &[Query],
-    i: usize,
-    catalog: &Catalog,
-    budget: &SearchBudget,
-) -> Result<bool, SearchOverflow> {
+pub fn is_simple(queries: &[Query], i: usize, catalog: &Catalog) -> Result<bool, SearchOverflow> {
     let mut replacement: Vec<Query> = queries
         .iter()
         .enumerate()
@@ -52,12 +47,8 @@ pub fn is_simple_with(
         .map(|(_, q)| q.clone())
         .collect();
     replacement.extend(proper_projections(&queries[i], catalog));
-    Ok(closure_contains(&replacement, &queries[i], catalog, budget)?.is_none())
-}
-
-/// [`is_simple_with`] under the default budget.
-pub fn is_simple(queries: &[Query], i: usize, catalog: &Catalog) -> Result<bool, SearchOverflow> {
-    is_simple_with(queries, i, catalog, &SearchBudget::default())
+    let budget = SearchBudget::default();
+    Ok(closure_contains(&replacement, &queries[i], catalog, &budget)?.is_none())
 }
 
 /// Is every query simple (i.e. is the set simplified)?
@@ -69,7 +60,7 @@ pub fn is_simplified_set(
     catalog: &Catalog,
     budget: &SearchBudget,
 ) -> Result<bool, SearchOverflow> {
-    NormContext::new(queries, catalog, budget).is_simplified_set(queries)
+    NormContext::new(queries, catalog, budget)?.is_simplified_set(queries)
 }
 
 /// Lemma 4.1.2: transform a query set into an equivalent simplified one.
@@ -88,7 +79,7 @@ pub fn simplify_queries(
     catalog: &Catalog,
     budget: &SearchBudget,
 ) -> Result<Vec<Query>, SearchOverflow> {
-    NormContext::new(queries, catalog, budget).simplify_queries(queries)
+    NormContext::new(queries, catalog, budget)?.simplify_queries(queries)
 }
 
 /// Theorem 4.1.3: an equivalent simplified view, with fresh view-schema

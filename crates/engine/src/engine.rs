@@ -25,6 +25,7 @@ use crate::spacestore::SpaceLibrary;
 use crate::verdict::{CheckKind, Verdict};
 use crate::workload::{Check, Workload};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -271,29 +272,30 @@ impl<C: PooledContext> Pool<C> {
         }
     }
 
-    /// The context under `key`, built by `build` on first use. Past
-    /// [`MAX_CONTEXTS`] the least-recently-used other context is retired:
-    /// its counters fold into the pool's totals and `retire` sees it on
-    /// the way out. Safe to lock it there: callers never hold a context
-    /// lock while touching the pool.
-    fn get(
+    /// The context under `key`, built by `build` on first use; a build
+    /// that fails leaves the pool as it was. Past [`MAX_CONTEXTS`] the
+    /// least-recently-used other context is retired: its counters fold
+    /// into the pool's totals and `retire` sees it on the way out. Safe to
+    /// lock it there: callers never hold a context lock while touching the
+    /// pool.
+    fn get<E>(
         &self,
         key: Vec<Fingerprint>,
-        build: impl FnOnce() -> C,
+        build: impl FnOnce() -> Result<C, E>,
         mut retire: impl FnMut(&C),
-    ) -> Arc<Mutex<C>> {
+    ) -> Result<Arc<Mutex<C>>, E> {
         let mut inner = self.inner.lock().expect("context pool lock");
         if let Some(context) = inner.live.get(&key) {
             self.obs.reuse.add(1);
-            return Arc::clone(context);
+            return Ok(Arc::clone(context));
         }
+        let context = Arc::new(Mutex::new(build()?));
         self.obs.build.add(1);
         obs::instant(
             self.obs.build.name(),
             self.obs.category,
             &[("queries", key.len() as u64)],
         );
-        let context = Arc::new(Mutex::new(build()));
         inner.live.insert(key, Arc::clone(&context));
         while inner.live.len() > MAX_CONTEXTS {
             let Some((_, retiree)) = inner.live.pop_lru() else {
@@ -310,7 +312,7 @@ impl<C: PooledContext> Pool<C> {
             inner.retired = inner.retired.plus(stats);
             retire(&retiree);
         }
-        context
+        Ok(context)
     }
 
     /// Visit every live context (retired ones already left through
@@ -455,7 +457,7 @@ impl Engine {
     /// never loses persisted-space progress.
     fn closure_context(&self, view: &View, catalog: &Catalog) -> Arc<Mutex<ClosureContext>> {
         let spaces = self.spaces.as_deref();
-        self.contexts.get(
+        let Ok(context) = self.contexts.get::<Infallible>(
             view_query_fingerprints(view, catalog),
             || {
                 let mut fresh =
@@ -467,7 +469,7 @@ impl Engine {
                         CTX_STAGE.add(1);
                     }
                 }
-                fresh
+                Ok(fresh)
             },
             |retiree| {
                 if let (Some(spaces), Some((key, bytes))) = (spaces, retiree.export_space()) {
@@ -477,12 +479,18 @@ impl Engine {
                         .insert(key, bytes);
                 }
             },
-        )
+        );
+        context
     }
 
     /// The pooled normalization context for `view`'s defining-query
-    /// multiset, created on first use.
-    fn norm_context(&self, view: &View, catalog: &Catalog) -> Arc<Mutex<NormContext>> {
+    /// multiset, created on first use; `Err` for a view too wide to
+    /// normalize ([`NormContext::new`]).
+    fn norm_context(
+        &self,
+        view: &View,
+        catalog: &Catalog,
+    ) -> Result<Arc<Mutex<NormContext>>, SearchOverflow> {
         let mut key = view_query_fingerprints(view, catalog);
         key.sort_unstable();
         self.norms.get(
@@ -754,7 +762,7 @@ impl Engine {
         }
         let t0 = obs::enabled().then(obs::now_ns);
         let _span = NORMALIZE_SPAN.start();
-        let context = self.norm_context(view, catalog);
+        let context = self.norm_context(view, catalog)?;
         let queries = view.query_set();
         let verdict = {
             let mut ctx = context.lock().expect("norm context lock");

@@ -12,7 +12,7 @@
 //! keeps witnesses in that file-local id space: each loaded entry is
 //! `foreign`, holding the name tables of the file it came from, so entries
 //! of files with different tables share one cache. The engine translates
-//! an entry into the live catalog on first hit via [`translate_entry`].
+//! an entry into the live catalog on first hit via `translate_entry`.
 //!
 //! ## Payload (version 2, inside the [`codec`] frame, magic `VCAPCACH`)
 //!
@@ -86,7 +86,7 @@ pub const LAMBDA_BIT: u32 = 0x8000_0000;
 /// The producer's name tables of a loaded cache file: `attrs[i]` is the
 /// name behind file-local `AttrId(i)`, `rels[i]` behind file-local
 /// `RelId(i)`, shared by every entry loaded from the file. Used to
-/// translate `foreign` entries into a live catalog ([`translate_entry`])
+/// translate `foreign` entries into a live catalog (`translate_entry`)
 /// and to re-intern names when they are saved or merged.
 #[derive(Debug)]
 pub struct ImportTables {

@@ -12,10 +12,7 @@ pub mod families;
 pub mod fleet;
 pub mod random;
 
-pub use families::{
-    chain_join_expr, chain_world, star_join_expr, star_world, wide_join_expr, wide_world,
-    StructuredWorld,
-};
+pub use families::{chain_join_expr, chain_world, star_join_expr, star_world, StructuredWorld};
 pub use fleet::{fleet_stream, frontier_diff_stream, txn_stream, FleetScenario, FleetSpec, Zipf};
 pub use random::{
     random_expr, random_instantiation, random_query, random_view, random_world, WorldSpec,

@@ -26,9 +26,11 @@
 //!   (Section 3.3) ([`components`]);
 //! * the **bounded search engine** over normalized expressions with
 //!   semantic deduplication — the effective core behind the paper's
-//!   decidability results ([`search`]);
+//!   decidability results ([`search`]); its one entry point is a
+//!   [`CandidateSpace`] built over the atoms and probed per goal;
 //! * **expression-template recognition**, our constructive replacement for
-//!   Propositions 2.4.5/2.4.6 ([`recognize`]);
+//!   Propositions 2.4.5/2.4.6: one probe of a fresh space
+//!   ([`recognize`]);
 //! * the **codec** every persisted format reads and writes through: frame,
 //!   name tables, tagged-tuple rows, one error type ([`codec`]).
 
@@ -63,7 +65,7 @@ pub use index::{leapfrog_intersect, scheme_key, ByteTrie, TupleIndex};
 pub use ops::{join_templates, project_template};
 pub use recognize::expression_realization;
 pub use reduce::reduce;
-pub use search::{for_each_candidate, CandidateSpace, SearchLimits, SearchOverflow, SearchStats};
+pub use search::{projection_targets, CandidateSpace, SearchLimits, SearchOverflow, SearchStats};
 pub use snapshot::{load_space, save_space, space_digest, SPACE_FORMAT};
 pub use subst::{apply_assignment, substitute, Assignment, Substitution};
 pub use template::{TaggedTuple, Template};

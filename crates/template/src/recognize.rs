@@ -13,11 +13,12 @@
 //! subtemplate lemma applied to the homomorphic image of `reduce(S)` inside
 //! the template of any realizing expression. Recognition is therefore a
 //! bounded search, and positive answers carry an explicit witness
-//! expression.
+//! expression: [`expression_realization`] is one probe of a fresh
+//! [`CandidateSpace`] over `RN(S)`, and `Some` answers the yes/no question.
 
 use crate::hom::equivalent_templates;
 use crate::reduce::reduce;
-use crate::search::{for_each_candidate, SearchLimits, SearchOverflow};
+use crate::search::{CandidateSpace, SearchLimits, SearchOverflow};
 use crate::template::Template;
 use std::ops::ControlFlow;
 use viewcap_base::{Catalog, RelId};
@@ -34,31 +35,15 @@ pub fn expression_realization(
     let atoms: Vec<RelId> = red.rel_names().into_iter().collect();
     let trs = red.trs();
     let mut witness = None;
-    for_each_candidate(
-        catalog,
-        &atoms,
-        red.len(),
-        Some(&trs),
-        limits,
-        &mut |e, cand| {
-            if equivalent_templates(cand, &red) {
-                witness = Some(e.clone());
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-    )?;
+    CandidateSpace::new(&atoms).probe(catalog, red.len(), Some(&trs), limits, &mut |e, cand| {
+        if equivalent_templates(cand, &red) {
+            witness = Some(e.clone());
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })?;
     Ok(witness)
-}
-
-/// Is the template an expression template? (Convenience wrapper.)
-pub fn is_expression_template(
-    t: &Template,
-    catalog: &Catalog,
-    limits: &SearchLimits,
-) -> Result<bool, SearchOverflow> {
-    Ok(expression_realization(t, catalog, limits)?.is_some())
 }
 
 #[cfg(test)]
@@ -150,6 +135,10 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        assert!(is_expression_template(&renamed, &cat, &SearchLimits::default()).unwrap());
+        assert!(
+            expression_realization(&renamed, &cat, &SearchLimits::default())
+                .unwrap()
+                .is_some()
+        );
     }
 }

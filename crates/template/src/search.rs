@@ -17,12 +17,15 @@
 //! Completeness rests on the *syntactic subtemplate lemma*:
 //! whenever the sought query is realizable at all, it is realizable by a
 //! normalized expression whose atom count is bounded by the tuple count of
-//! the (reduced) goal template. One corner is documented in
-//! [`for_each_candidate`]: skeletons requiring a fully hidden operand whose
-//! hidden columns overlap the live TRS may escape the normalized grammar;
-//! the literal paper procedure (the test oracle in
-//! `tests/support/paper_procedure.rs`) serves as a cross-check on small
-//! instances.
+//! the (reduced) goal template. One corner lies outside the grammar: a
+//! skeleton that needs a fully hidden operand (every column projected
+//! away) whose hidden columns overlap the live TRS has no normalized form,
+//! so the search may miss it. The literal paper procedure (the test oracle
+//! in `tests/support/paper_procedure.rs`) cross-checks small instances.
+//!
+//! The one entry point is [`CandidateSpace`]: build it over the atoms, then
+//! [`CandidateSpace::probe`] it once per goal. A one-shot search is a fresh
+//! space probed once.
 //!
 //! Intermediate templates are always reduced, and candidates are
 //! deduplicated *semantically*: reduced templates are bucketed by canonical
@@ -105,8 +108,23 @@ use viewcap_expr::Expr;
 /// Callback type for the combination enumerator.
 type ComboSink<'a> = &'a mut dyn FnMut(&[(usize, usize)]) -> Result<(), SearchOverflow>;
 
-/// Proper nonempty subsets of `trs` in *content* order: by length, then by
-/// the sequence of attribute-name ranks.
+/// Proper nonempty subsets of `trs`, the projection targets of a template
+/// with that TRS.
+///
+/// A scheme wider than [`MAX_SUBSET_ATTRS`] (a wide relation, or a join of
+/// wide atoms) has too many projections to enumerate; that is an overflow —
+/// "unknown" — like any other exhausted budget.
+pub fn projection_targets(trs: &Scheme) -> Result<Vec<Scheme>, SearchOverflow> {
+    if trs.len() > MAX_SUBSET_ATTRS {
+        return Err(SearchOverflow {
+            context: "scheme too wide to enumerate its projections",
+        });
+    }
+    Ok(trs.proper_nonempty_subsets())
+}
+
+/// [`projection_targets`] in *content* order: by length, then by the
+/// sequence of attribute-name ranks.
 ///
 /// `Scheme` stores attributes sorted by [`viewcap_base::AttrId`] — interning
 /// order, a catalog-declaration artifact — so the raw
@@ -116,17 +134,8 @@ type ComboSink<'a> = &'a mut dyn FnMut(&[(usize, usize)]) -> Result<(), SearchOv
 /// therefore which equivalent witness the search keeps first — identical
 /// across permuted catalogs, which is what lets cold runs emit
 /// byte-identical witnesses and makes persisted spaces portable.
-///
-/// A scheme wider than [`MAX_SUBSET_ATTRS`] (reachable by joining wide
-/// atoms) has too many projections to enumerate; that is an overflow —
-/// "unknown" — like any other exhausted budget.
 fn canonical_proper_subsets(trs: &Scheme, ranks: &[u32]) -> Result<Vec<Scheme>, SearchOverflow> {
-    if trs.len() > MAX_SUBSET_ATTRS {
-        return Err(SearchOverflow {
-            context: "scheme too wide to enumerate its projections",
-        });
-    }
-    let mut subs = trs.proper_nonempty_subsets();
+    let mut subs = projection_targets(trs)?;
     subs.sort_by_cached_key(|s| {
         let mut key: Vec<u32> = s.iter().map(|a| ranks[a.index()]).collect();
         key.sort_unstable();
@@ -240,11 +249,11 @@ pub(crate) struct Level {
 /// **Per-probe budget semantics.** Level content is limit-independent, so
 /// the space records, per level, the cumulative combination count and the
 /// kept-part count a fresh search would have observed. A probe overflows
-/// exactly when a fresh [`for_each_candidate`] run with the same
-/// `(max_atoms, limits)` would: recorded counts are compared against the
-/// *probe's* limits, and a level being built mid-probe aborts (and rolls
-/// back, leaving the space unchanged) when the probing caller's budget is
-/// exhausted. Overflow still means "unknown", never "no".
+/// exactly when a probe of a fresh space with the same `(max_atoms, limits)`
+/// would: recorded counts are compared against the *probe's* limits, and a
+/// level being built mid-probe aborts (and rolls back, leaving the space
+/// unchanged) when the probing caller's budget is exhausted. Overflow still
+/// means "unknown", never "no".
 ///
 /// The space does not own the catalog: every probe borrows it, and every
 /// probe of one space must pass the same catalog (the one the atoms were
@@ -502,30 +511,6 @@ impl CandidateSpace {
     }
 }
 
-/// Enumerate deduplicated `(expression, reduced template)` candidates over
-/// `atoms` with at most `max_atoms` atom occurrences.
-///
-/// * `target_trs`: if given, only roots with exactly this TRS reach the
-///   callback (parts of other TRS still participate as subexpressions).
-/// * Returns `Ok(true)` when the callback broke (found what it wanted),
-///   `Ok(false)` when the space was exhausted.
-///
-/// This is the one-shot entry point: it builds a throwaway
-/// [`CandidateSpace`] and probes it once. Callers with several goals over
-/// one atom set should hold a `CandidateSpace` (or a
-/// `viewcap-core::ClosureContext`) and probe it per goal instead — the
-/// enumeration is goal-independent and amortizes.
-pub fn for_each_candidate(
-    catalog: &Catalog,
-    atoms: &[RelId],
-    max_atoms: usize,
-    target_trs: Option<&Scheme>,
-    limits: &SearchLimits,
-    f: &mut dyn FnMut(&Expr, &Template) -> ControlFlow<()>,
-) -> Result<bool, SearchOverflow> {
-    CandidateSpace::new(atoms).probe(catalog, max_atoms, target_trs, limits, f)
-}
-
 /// Enumerate strictly increasing `(size, index)` selections from `parts`
 /// totalling exactly `total`, with at least two elements.
 fn combos(
@@ -595,18 +580,18 @@ mod tests {
         target: Option<&Scheme>,
     ) -> Vec<(Expr, Template)> {
         let mut out = Vec::new();
-        let found = for_each_candidate(
-            cat,
-            atoms,
-            max_atoms,
-            target,
-            &SearchLimits::default(),
-            &mut |e, t| {
-                out.push((e.clone(), t.clone()));
-                ControlFlow::Continue(())
-            },
-        )
-        .unwrap();
+        let found = CandidateSpace::new(atoms)
+            .probe(
+                cat,
+                max_atoms,
+                target,
+                &SearchLimits::default(),
+                &mut |e, t| {
+                    out.push((e.clone(), t.clone()));
+                    ControlFlow::Continue(())
+                },
+            )
+            .unwrap();
         assert!(!found);
         out
     }
@@ -627,22 +612,22 @@ mod tests {
             &cat,
         ));
         let mut hit = false;
-        let found = for_each_candidate(
-            &cat,
-            &atoms,
-            2,
-            Some(&goal.trs()),
-            &SearchLimits::default(),
-            &mut |_, t| {
-                if equivalent_templates(t, &goal) {
-                    hit = true;
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )
-        .unwrap();
+        let found = CandidateSpace::new(&atoms)
+            .probe(
+                &cat,
+                2,
+                Some(&goal.trs()),
+                &SearchLimits::default(),
+                &mut |_, t| {
+                    if equivalent_templates(t, &goal) {
+                        hit = true;
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            )
+            .unwrap();
         assert!(found && hit);
     }
 
@@ -702,19 +687,15 @@ mod tests {
     fn zero_budget_and_empty_atom_sets_are_empty_searches() {
         let (cat, atoms) = setup();
         // max_atoms = 0: nothing to enumerate, exhausts immediately.
-        let found = for_each_candidate(
-            &cat,
-            &atoms,
-            0,
-            None,
-            &SearchLimits::default(),
-            &mut |_, _| panic!("no candidates expected"),
-        )
-        .unwrap();
+        let found = CandidateSpace::new(&atoms)
+            .probe(&cat, 0, None, &SearchLimits::default(), &mut |_, _| {
+                panic!("no candidates expected")
+            })
+            .unwrap();
         assert!(!found);
         // No atoms: likewise.
-        let found =
-            for_each_candidate(&cat, &[], 3, None, &SearchLimits::default(), &mut |_, _| {
+        let found = CandidateSpace::new(&[])
+            .probe(&cat, 3, None, &SearchLimits::default(), &mut |_, _| {
                 panic!("no candidates expected")
             })
             .unwrap();
@@ -854,12 +835,13 @@ mod tests {
                     ControlFlow::Continue(())
                 });
                 let mut flat: Vec<String> = Vec::new();
-                let fresh = for_each_candidate(&cat, &atoms, 3, None, &limits, &mut |e, t| {
-                    if t.trs() == *target {
-                        flat.push(format!("{e:?}"));
-                    }
-                    ControlFlow::Continue(())
-                });
+                let fresh =
+                    CandidateSpace::new(&atoms).probe(&cat, 3, None, &limits, &mut |e, t| {
+                        if t.trs() == *target {
+                            flat.push(format!("{e:?}"));
+                        }
+                        ControlFlow::Continue(())
+                    });
                 match (&shared, &fresh) {
                     (Ok(_), Ok(_)) => assert_eq!(
                         indexed, flat,
@@ -937,7 +919,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.context, "per-level part budget exhausted");
         // Matches the fresh outcome under the same limits.
-        let fresh = for_each_candidate(&cat, &atoms, 1, None, &strict, &mut |_, _| {
+        let fresh = CandidateSpace::new(&atoms).probe(&cat, 1, None, &strict, &mut |_, _| {
             ControlFlow::Continue(())
         });
         assert_eq!(fresh.unwrap_err().context, err.context);
@@ -950,7 +932,7 @@ mod tests {
             max_level_parts: 20_000,
             max_visits: 1,
         };
-        let res = for_each_candidate(&cat, &atoms, 3, None, &limits, &mut |_, _| {
+        let res = CandidateSpace::new(&atoms).probe(&cat, 3, None, &limits, &mut |_, _| {
             ControlFlow::Continue(())
         });
         assert!(res.is_err());

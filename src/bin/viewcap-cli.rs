@@ -55,6 +55,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
 use viewcap_engine::{EngineConfig, PileStore, PileStoreError, Session, SPACE_LIB_FORMAT};
 
@@ -93,6 +94,9 @@ edit V {
 recheck
 "#;
 
+/// What `--jobs` takes.
+const JOBS: &str = "a number (0 = all cores)";
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: viewcap-cli [--jobs N] [--stats] [--pile PATH] [--cache-max N] \
@@ -108,10 +112,33 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// The value after `flag`, parsed; `what` names the value in the error
+/// ("a path", "a number (0 = unbounded)").
+fn flag_value<T: FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// A count flag where 0 means no bound.
+fn bound_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<Option<usize>, String> {
+    let n: usize = flag_value(it, flag, "a number (0 = unbounded)")?;
+    Ok((n > 0).then_some(n))
+}
+
+/// The text of the scenario file at `path`.
+fn read_scenario(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
 /// `viewcap-cli pile import|compact|recover|stats ...`.
-fn pile_command(args: &[String]) -> ExitCode {
+fn pile_command(args: &[String]) -> Result<ExitCode, String> {
     let Some((sub, rest)) = args.split_first() else {
-        return usage();
+        return Ok(usage());
     };
     let mut inputs: Vec<PathBuf> = Vec::new();
     let mut out: Option<PathBuf> = None;
@@ -120,55 +147,34 @@ fn pile_command(args: &[String]) -> ExitCode {
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.into()),
-                None => return usage(),
-            },
-            "--pile" => match it.next() {
-                Some(p) => pile = Some(p.into()),
-                None => return usage(),
-            },
-            "--max" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => max = (n > 0).then_some(n),
-                None => {
-                    eprintln!("viewcap-cli: --max needs a number (0 = unbounded)");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--out" => out = Some(flag_value(&mut it, arg, "a path")?),
+            "--pile" => pile = Some(flag_value(&mut it, arg, "a path")?),
+            "--max" => max = bound_value(&mut it, arg)?,
             path if !path.starts_with('-') => inputs.push(path.into()),
-            _ => return usage(),
+            _ => return Ok(usage()),
         }
     }
-    let result = match (sub.as_str(), inputs.as_slice(), pile, out) {
-        ("import", [_, ..], Some(pile), None) => pile_import(&pile, &inputs),
-        ("compact", [input], None, Some(out)) => open_pile(input).and_then(|mut store| {
-            let (report, spaces) = store
+    match (sub.as_str(), inputs.as_slice(), pile, out) {
+        ("import", [_, ..], Some(pile), None) => pile_import(&pile, &inputs)?,
+        ("compact", [input], None, Some(out)) => {
+            let (report, spaces) = open_pile(input)?
                 .compact_to(&out, max)
                 .map_err(|e| format!("pile compact -> `{}`: {e}", out.display()))?;
             println!("compacted {report}, {spaces} space(s) -> {}", out.display());
-            Ok(())
-        }),
-        ("recover", [input], None, None) => match PileStore::recover(input) {
-            Ok((_, report)) => {
-                println!("recovered {report}");
-                Ok(())
-            }
-            Err(e) => Err(format!("pile recover `{}`: {e}", input.display())),
-        },
-        ("stats", [input], None, None) => open_pile(input).and_then(|mut store| {
-            let line = pile_stats(&mut store).map_err(|e| format!("pile stats: {e}"))?;
-            println!("{line}");
-            Ok(())
-        }),
-        _ => return usage(),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("viewcap-cli: {e}");
-            ExitCode::FAILURE
         }
+        ("recover", [input], None, None) => {
+            let (_, report) = PileStore::recover(input)
+                .map_err(|e| format!("pile recover `{}`: {e}", input.display()))?;
+            println!("recovered {report}");
+        }
+        ("stats", [input], None, None) => {
+            let line =
+                pile_stats(&mut open_pile(input)?).map_err(|e| format!("pile stats: {e}"))?;
+            println!("{line}");
+        }
+        _ => return Ok(usage()),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn open_pile(path: &Path) -> Result<PileStore, String> {
@@ -215,7 +221,7 @@ fn pile_import(pile: &Path, inputs: &[PathBuf]) -> Result<(), String> {
 
 /// `viewcap-cli serve --socket PATH [--pile PATH] [--cache-max N]`.
 #[cfg(unix)]
-fn serve_command(args: &[String]) -> ExitCode {
+fn serve_command(args: &[String]) -> Result<ExitCode, String> {
     let mut config = viewcap::serve::ServeConfig {
         socket: PathBuf::new(),
         pile: None,
@@ -224,40 +230,22 @@ fn serve_command(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => config.socket = p.into(),
-                None => return usage(),
-            },
-            "--pile" => match it.next() {
-                Some(p) => config.pile = Some(p.into()),
-                None => return usage(),
-            },
-            "--cache-max" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => config.cache_max = (n > 0).then_some(n),
-                None => {
-                    eprintln!("viewcap-cli: --cache-max needs a number (0 = unbounded)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => return usage(),
+            "--socket" => config.socket = flag_value(&mut it, arg, "a path")?,
+            "--pile" => config.pile = Some(flag_value(&mut it, arg, "a path")?),
+            "--cache-max" => config.cache_max = bound_value(&mut it, arg)?,
+            _ => return Ok(usage()),
         }
     }
     if config.socket.as_os_str().is_empty() {
-        eprintln!("viewcap-cli: serve needs --socket");
-        return ExitCode::FAILURE;
+        return Err("serve needs --socket".into());
     }
-    match viewcap::serve::serve(&config) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("viewcap-cli: serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    viewcap::serve::serve(&config).map_err(|e| format!("serve: {e}"))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `viewcap-cli client --socket PATH ...`.
 #[cfg(unix)]
-fn client_command(args: &[String]) -> ExitCode {
+fn client_command(args: &[String]) -> Result<ExitCode, String> {
     use viewcap::serve::{client_request, ClientRequest};
     let mut socket: Option<PathBuf> = None;
     let mut jobs = 1usize;
@@ -267,41 +255,20 @@ fn client_command(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p.into()),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("viewcap-cli: --jobs needs a number (0 = all cores)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--warm" => match it.next() {
-                Some(key) => warm_key = Some(key.clone()),
-                None => return usage(),
-            },
+            "--socket" => socket = Some(flag_value(&mut it, arg, "a path")?),
+            "--jobs" => jobs = flag_value(&mut it, arg, JOBS)?,
+            "--warm" => warm_key = Some(flag_value(&mut it, arg, "a key")?),
             "--demo" if source.is_none() => source = Some(DEMO.to_owned()),
             "--ping" => op = Some(ClientRequest::Ping),
             "--stats" => op = Some(ClientRequest::Stats),
             "--shutdown" => op = Some(ClientRequest::Shutdown),
             path if !path.starts_with('-') && source.is_none() => {
-                match std::fs::read_to_string(path) {
-                    Ok(s) => source = Some(s),
-                    Err(e) => {
-                        eprintln!("viewcap-cli: cannot read `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                source = Some(read_scenario(path)?);
             }
-            _ => return usage(),
+            _ => return Ok(usage()),
         }
     }
-    let Some(socket) = socket else {
-        eprintln!("viewcap-cli: client needs --socket");
-        return ExitCode::FAILURE;
-    };
+    let socket = socket.ok_or("client needs --socket")?;
     let request = match (op, source) {
         (Some(op), None) => op,
         (None, Some(source)) => ClientRequest::Run {
@@ -309,39 +276,38 @@ fn client_command(args: &[String]) -> ExitCode {
             jobs,
             warm_key,
         },
-        _ => return usage(),
+        _ => return Ok(usage()),
     };
-    match client_request(&socket, &request) {
-        Ok(response) if response.ok => {
-            print!("{}", response.body);
-            ExitCode::SUCCESS
-        }
-        Ok(response) => {
-            eprint!("viewcap-cli: daemon: {}", response.body);
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("viewcap-cli: client: {e}");
-            ExitCode::FAILURE
-        }
+    let response = client_request(&socket, &request).map_err(|e| format!("client: {e}"))?;
+    if response.ok {
+        print!("{}", response.body);
+        Ok(ExitCode::SUCCESS)
+    } else {
+        eprint!("viewcap-cli: daemon: {}", response.body);
+        Ok(ExitCode::FAILURE)
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("pile") => return pile_command(&args[1..]),
+    let ran = match args.first().map(String::as_str) {
+        Some("pile") => pile_command(&args[1..]),
         #[cfg(unix)]
-        Some("serve") => return serve_command(&args[1..]),
+        Some("serve") => serve_command(&args[1..]),
         #[cfg(unix)]
-        Some("client") => return client_command(&args[1..]),
+        Some("client") => client_command(&args[1..]),
         #[cfg(not(unix))]
-        Some("serve") | Some("client") => {
-            eprintln!("viewcap-cli: serve/client need unix sockets");
-            return ExitCode::FAILURE;
-        }
-        _ => {}
-    }
+        Some("serve") | Some("client") => Err("serve/client need unix sockets".into()),
+        _ => run_command(&args),
+    };
+    ran.unwrap_or_else(|e| {
+        eprintln!("viewcap-cli: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// `viewcap-cli [flags] <scenario-file> | --demo`: run one scenario.
+fn run_command(args: &[String]) -> Result<ExitCode, String> {
     let mut options = ScenarioOptions::default();
     let mut stats = false;
     let mut pile_file: Option<PathBuf> = None;
@@ -355,55 +321,19 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--demo" if source.is_none() => source = Some(DEMO.to_owned()),
             "--stats" => stats = true,
-            "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("viewcap-cli: --jobs needs a number (0 = all cores)");
-                    return ExitCode::FAILURE;
-                };
-                options.jobs = n;
-            }
-            "--pile" => {
-                let Some(path) = it.next() else {
-                    eprintln!("viewcap-cli: --pile needs a path");
-                    return ExitCode::FAILURE;
-                };
-                pile_file = Some(path.into());
-            }
-            "--cache-max" => {
-                let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("viewcap-cli: --cache-max needs a number (0 = unbounded)");
-                    return ExitCode::FAILURE;
-                };
-                cache_max = (n > 0).then_some(n);
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("viewcap-cli: --trace-out needs a path");
-                    return ExitCode::FAILURE;
-                };
-                trace_out = Some(path.into());
-            }
-            "--metrics-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("viewcap-cli: --metrics-out needs a path");
-                    return ExitCode::FAILURE;
-                };
-                metrics_out = Some(path.into());
-            }
+            "--jobs" => options.jobs = flag_value(&mut it, arg, JOBS)?,
+            "--pile" => pile_file = Some(flag_value(&mut it, arg, "a path")?),
+            "--cache-max" => cache_max = bound_value(&mut it, arg)?,
+            "--trace-out" => trace_out = Some(flag_value(&mut it, arg, "a path")?),
+            "--metrics-out" => metrics_out = Some(flag_value(&mut it, arg, "a path")?),
             path if !path.starts_with('-') && source.is_none() => {
-                match std::fs::read_to_string(path) {
-                    Ok(s) => source = Some(s),
-                    Err(e) => {
-                        eprintln!("viewcap-cli: cannot read `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                source = Some(read_scenario(path)?);
             }
-            _ => return usage(),
+            _ => return Ok(usage()),
         }
     }
     let Some(source) = source else {
-        return usage();
+        return Ok(usage());
     };
     if trace_out.is_some() || metrics_out.is_some() {
         viewcap_obs::set_enabled(true);
@@ -417,59 +347,37 @@ fn main() -> ExitCode {
     if let Some(path) = &pile_file {
         config = config.pile(path);
     }
-    let mut session = match Session::open(config) {
-        Ok(session) => session,
-        Err(e) if pile_file.is_some() => {
-            eprintln!("viewcap-cli: {e} (try `viewcap-cli pile recover`)");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("viewcap-cli: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut session = Session::open(config).map_err(|e| match pile_file {
+        Some(_) => format!("{e} (try `viewcap-cli pile recover`)"),
+        None => e.to_string(),
+    })?;
 
-    match run_scenario_with_engine(&source, &options, session.engine()) {
-        Ok(outcome) => {
-            print!("{}", outcome.report);
-            println!(
-                "-- {} check(s) answered YES, {} answered NO",
-                outcome.yes, outcome.no
-            );
-            if stats {
-                // Diagnostics go to stderr: stdout is the pinned scenario
-                // transcript, byte-identical under every flag combination.
-                eprint!("{}", outcome.run_stats());
-            }
-            // Append the run's verdicts and grown candidate spaces to the
-            // pile, if one is configured.
-            if let Err(e) = session.persist(&outcome.catalog) {
-                eprintln!("viewcap-cli: cannot persist: {e}");
-                return ExitCode::FAILURE;
-            }
-            // The pile append above belongs in the telemetry too, so the
-            // snapshot and trace are written last.
-            if let Some(path) = &metrics_out {
-                let snapshot = viewcap_obs::snapshot();
-                if let Err(e) = std::fs::write(path, snapshot.to_json()) {
-                    eprintln!(
-                        "viewcap-cli: cannot write metrics `{}`: {e}",
-                        path.display()
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(path) = &trace_out {
-                if let Err(e) = std::fs::write(path, viewcap_obs::trace_json()) {
-                    eprintln!("viewcap-cli: cannot write trace `{}`: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("viewcap-cli: {e}");
-            ExitCode::FAILURE
-        }
+    let outcome =
+        run_scenario_with_engine(&source, &options, session.engine()).map_err(|e| e.to_string())?;
+    print!("{}", outcome.report);
+    println!(
+        "-- {} check(s) answered YES, {} answered NO",
+        outcome.yes, outcome.no
+    );
+    if stats {
+        // Diagnostics go to stderr: stdout is the pinned scenario
+        // transcript, byte-identical under every flag combination.
+        eprint!("{}", outcome.run_stats());
     }
+    // Append the run's verdicts and grown candidate spaces to the pile, if
+    // one is configured.
+    session
+        .persist(&outcome.catalog)
+        .map_err(|e| format!("cannot persist: {e}"))?;
+    // The pile append above belongs in the telemetry too, so the snapshot
+    // and trace are written last.
+    if let Some(path) = &metrics_out {
+        std::fs::write(path, viewcap_obs::snapshot().to_json())
+            .map_err(|e| format!("cannot write metrics `{}`: {e}", path.display()))?;
+    }
+    if let Some(path) = &trace_out {
+        std::fs::write(path, viewcap_obs::trace_json())
+            .map_err(|e| format!("cannot write trace `{}`: {e}", path.display()))?;
+    }
+    Ok(ExitCode::SUCCESS)
 }

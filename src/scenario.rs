@@ -1273,14 +1273,25 @@ check member V R
     #[test]
     fn joins_too_wide_to_enumerate_are_an_overflow_not_a_panic() {
         // The 18-attribute join of two 9-attribute atoms has too many
-        // projections to enumerate; the search must report "unknown".
-        let src = "rel R(A, B, C, D, E, F, G, H, I)\n\
-                   rel S(J, K, L, M, N, O, P, Q, T)\n\
-                   view V {\n  X = R\n  Y = S\n}\n\
-                   check member V pi{A,J}(R * S)\n";
-        let err = run_scenario(src).unwrap_err();
-        assert_eq!(err.line, 7);
-        assert!(err.to_string().contains("overflow"), "{err}");
+        // projections to enumerate; the search must report "unknown". So
+        // must normalizing a view with a 17-attribute or an 18-attribute
+        // defining query.
+        let nine_and_nine = "rel R(A, B, C, D, E, F, G, H, I)\n\
+                             rel S(J, K, L, M, N, O, P, Q, T)\n";
+        let attrs: Vec<String> = (0..17).map(|i| format!("A{i}")).collect();
+        let wide = format!("rel R({})\nview V {{\n  Q = R\n}}\n", attrs.join(", "));
+        let two = "view V {\n  X = R\n  Y = S\n}\ncheck member V pi{A,J}(R * S)\n";
+        let joined = "view V {\n  X = R * S\n}\nsimplify V\n";
+        for (src, line) in [
+            (format!("{nine_and_nine}{two}"), 7),
+            (format!("{wide}simplify V\n"), 5),
+            (format!("{wide}nonredundant V\n"), 5),
+            (format!("{nine_and_nine}{joined}"), 6),
+        ] {
+            let err = run_scenario(&src).unwrap_err();
+            assert_eq!(err.line, line, "{src}");
+            assert!(err.to_string().contains("overflow"), "{err}");
+        }
     }
 
     #[test]

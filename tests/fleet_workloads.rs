@@ -1,6 +1,6 @@
 //! Fleet workload conformance: generated zipf streams run clean through
 //! the scenario engine, `txn` blocks agree byte-for-byte with sequential
-//! edits, and `frontier`/`diff` agree with independent one-shot frontier
+//! edits, and `frontier`/`diff` agree with fresh, unshared frontier
 //! enumerations — at every `--jobs` setting.
 
 use std::fmt::Write as _;
@@ -121,7 +121,7 @@ fn diff_stream_matches_independent_frontier_enumeration() {
 
     // Every generated pair diffs `{pi{Ab,Bb}, pi{Bb,Cb}}` against
     // `{pi{Ab,Bb}}` over its base relation; compute the expected set
-    // difference with two independent one-shot enumerations.
+    // difference with two fresh, unshared enumerations.
     let mut cat = Catalog::new();
     cat.relation("R", &["A", "B", "C"]).unwrap();
     let q = |src: &str| Query::from_expr(parse_expr(src, &cat).unwrap(), &cat);

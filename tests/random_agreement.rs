@@ -16,7 +16,7 @@ use viewcap_gen::{
     chain_join_expr, chain_world, random_expr, random_instantiation, random_world, star_join_expr,
     star_world, WorldSpec,
 };
-use viewcap_template::{eval_template, for_each_candidate, reduce, template_of_expr, SearchLimits};
+use viewcap_template::{eval_template, reduce, template_of_expr, CandidateSpace, SearchLimits};
 
 /// Proposition 2.1.2 at scale: `T_E(α) = E(α)` on random expressions and
 /// random instantiations.
@@ -113,13 +113,8 @@ fn search_candidates_match_their_expressions() {
         },
     );
     let mut inspected = 0;
-    let _ = for_each_candidate(
-        &cat,
-        &rels,
-        3,
-        None,
-        &SearchLimits::default(),
-        &mut |expr, tpl| {
+    let _ = CandidateSpace::new(&rels)
+        .probe(&cat, 3, None, &SearchLimits::default(), &mut |expr, tpl| {
             inspected += 1;
             assert!(
                 equivalent_templates(tpl, &template_of_expr(expr, &cat)),
@@ -130,9 +125,8 @@ fn search_candidates_match_their_expressions() {
             } else {
                 ControlFlow::Continue(())
             }
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     assert!(
         inspected >= 20,
         "engine produced only {inspected} candidates"

@@ -240,11 +240,20 @@ fn daemon_rejects_malformed_requests_without_dying() {
     }
 
     // A scenario error comes back as ERR too, and the daemon survives it:
-    // an unknown view, and a join too wide for the search to enumerate.
+    // an unknown view, a join too wide for the search to enumerate, and
+    // views too wide to normalize (17 attributes; a join of two 9s).
+    let attrs: Vec<String> = (0..17).map(|i| format!("A{i}")).collect();
+    let wide = format!("rel R({})\nview V {{\n  Q = R\n}}\n", attrs.join(", "));
+    let simplify_wide = format!("{wide}simplify V\n");
+    let nonredundant_wide = format!("{wide}nonredundant V\n");
     for bad in [
         "rel R(A, B)\ncheck member NoSuchView R\n",
         "rel R(A, B, C, D, E, F, G, H, I)\nrel S(J, K, L, M, N, O, P, Q, T)\n\
          view V {\n  X = R\n  Y = S\n}\ncheck member V pi{A,J}(R * S)\n",
+        &simplify_wide,
+        &nonredundant_wide,
+        "rel R(A, B, C, D, E, F, G, H, I)\nrel S(J, K, L, M, N, O, P, Q, T)\n\
+         view V {\n  X = R * S\n}\nsimplify V\n",
     ] {
         let mut stream = UnixStream::connect(&socket).unwrap();
         stream

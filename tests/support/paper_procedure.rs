@@ -14,12 +14,19 @@
 //! `viewcap-template` (our replacement for Proposition 2.4.6).
 
 use viewcap_base::{Catalog, RelId, Symbol};
-use viewcap_core::error::CoreError;
 use viewcap_core::{Query, SearchBudget};
 use viewcap_template::{
-    equivalent_templates, recognize::is_expression_template, substitute, Assignment, TaggedTuple,
-    Template,
+    equivalent_templates, expression_realization, substitute, Assignment, TaggedTuple, Template,
 };
+
+/// The literal procedure refused an instance above its hard cap.
+#[derive(Debug)]
+pub struct TooLarge {
+    /// Estimated candidate-template count.
+    pub estimated: u128,
+    /// The configured cap.
+    pub cap: u128,
+}
 
 /// Configuration for the literal procedure.
 #[derive(Clone, Debug)]
@@ -42,14 +49,14 @@ impl Default for PaperProcedureConfig {
 /// Decide `goal ∈ closure(queries)` by the paper's `J_k` enumeration.
 ///
 /// Returns the witnessing skeleton template over the scratch `λ` names, or
-/// `None`. Errors when the instance exceeds the cap or recognition
-/// overflows.
+/// `None`. Errors when the instance exceeds the cap; a skeleton whose
+/// recognition overflows is skipped.
 pub fn closure_contains_paper(
     queries: &[Query],
     goal: &Query,
     catalog: &Catalog,
     config: &PaperProcedureConfig,
-) -> Result<Option<Template>, CoreError> {
+) -> Result<Option<Template>, TooLarge> {
     if queries.is_empty() {
         return Ok(None);
     }
@@ -108,7 +115,7 @@ pub fn closure_contains_paper(
         total = total.saturating_add(binom);
     }
     if total > config.candidate_cap {
-        return Err(CoreError::PaperProcedureTooLarge {
+        return Err(TooLarge {
             estimated: total,
             cap: config.candidate_cap,
         });
@@ -122,9 +129,9 @@ pub fn closure_contains_paper(
             return false; // violates condition (iii)
         };
         // Lemma 2.4.9: only expression templates participate.
-        match is_expression_template(&skel, &scratch, &config.recognition_budget.limits) {
-            Ok(true) => {}
-            Ok(false) => return false,
+        match expression_realization(&skel, &scratch, &config.recognition_budget.limits) {
+            Ok(Some(_)) => {}
+            Ok(None) => return false,
             Err(_) => return false, // conservative: skip unrecognizable
         }
         let Ok(sub) = substitute(&skel, &beta, &scratch) else {
@@ -228,7 +235,7 @@ mod tests {
         };
         assert!(matches!(
             closure_contains_paper(&set, &goal, &cat, &config),
-            Err(CoreError::PaperProcedureTooLarge { .. })
+            Err(TooLarge { estimated, cap }) if estimated > cap
         ));
     }
 }
