@@ -15,14 +15,18 @@
 use crate::error::CoreError;
 use crate::query::{Query, QuerySet};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use viewcap_base::{Catalog, Instantiation, RelId, Relation};
 use viewcap_expr::Expr;
 use viewcap_template::{substitute, template_of_expr, Assignment, Template};
 
 /// A view: defining queries paired with distinct view-schema names.
+///
+/// The pairs are shared, so a clone costs a reference count and keeps the
+/// queries' filled memos ([`Query::content_key`]).
 #[derive(Clone, Debug)]
 pub struct View {
-    pairs: Vec<(Query, RelId)>,
+    pairs: Arc<[(Query, RelId)]>,
 }
 
 impl View {
@@ -55,7 +59,9 @@ impl View {
                 return Err(CoreError::ViewNameInDefiningQuery(*v));
             }
         }
-        Ok(View { pairs })
+        Ok(View {
+            pairs: pairs.into(),
+        })
     }
 
     /// Convenience: build from expressions.
@@ -98,7 +104,7 @@ impl View {
     /// everything else unchanged.
     pub fn induced(&self, alpha: &Instantiation, catalog: &Catalog) -> Instantiation {
         let mut out = alpha.clone();
-        for (q, v) in &self.pairs {
+        for (q, v) in self.pairs.iter() {
             out.set(*v, q.eval(alpha, catalog), catalog)
                 .expect("view validation fixed the types");
         }
@@ -159,7 +165,7 @@ impl View {
         self.check_view_query(view_query)?;
         let vq_template: Template = template_of_expr(view_query, catalog);
         let mut beta = Assignment::new();
-        for (q, v) in &self.pairs {
+        for (q, v) in self.pairs.iter() {
             beta.set(*v, q.template().clone(), catalog)?;
         }
         let sub = substitute(&vq_template, &beta, catalog)?;

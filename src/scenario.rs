@@ -76,6 +76,13 @@
 //! only those, reporting how much was reused. The report is byte-identical
 //! for every `--jobs` setting.
 //!
+//! A run has two phases over one command loop. The declaration phase
+//! ([`declare`]) runs the leading `rel` and `view` lines and yields
+//! [`Declarations`]; the command phase ([`run_declared`]) runs the rest
+//! from that state. A caller posing many sources over one prologue, such
+//! as the `serve` daemon, runs the declaration phase once and starts each
+//! run from a copy of its result.
+//!
 //! Replacing a defining query with one of a different target scheme mints
 //! a fresh catalog relation (the display name gains a `$n` suffix), since
 //! a relation name's type is fixed at declaration.
@@ -187,15 +194,31 @@ impl std::error::Error for ScenarioError {}
 /// pair. Catalog relation names can drift when an edit changes a pair's
 /// target scheme (a fresh `name$n` relation is minted); edits keep
 /// addressing pairs by their logical names regardless.
+#[derive(Clone, Debug)]
 struct NamedView {
     view: View,
     logical: Vec<String>,
 }
 
-struct Runner<'a> {
+/// What a source's leading `rel`/`view` declarations leave behind: the
+/// declaration phase of a run ([`declare`]), from which the command phase
+/// ([`run_declared`]) starts. Declarations never touch an engine, so one
+/// value serves any number of runs over the same prologue; a copy is
+/// cheap, because views share their defining pairs.
+#[derive(Clone, Debug, Default)]
+pub struct Declarations {
     catalog: Catalog,
     views: BTreeMap<String, NamedView>,
-    engine: &'a Engine,
+    /// The report lines the declarations wrote.
+    report: String,
+    /// Source lines the declarations span, blank and comment lines among
+    /// them included.
+    lines: usize,
+}
+
+struct Runner {
+    catalog: Catalog,
+    views: BTreeMap<String, NamedView>,
     delta: DeltaWorkload,
     jobs: usize,
     report: String,
@@ -230,92 +253,98 @@ pub fn run_scenario_with(
 /// The cache is catalog-content-addressed: reuse is sound whenever the
 /// scenarios declare the same relations (same names, same schemes), in
 /// *any* declaration order.
+///
+/// This is [`declare`] followed by [`run_declared`] on the rest.
 pub fn run_scenario_with_engine(
     src: &str,
     options: &ScenarioOptions,
     engine: &Engine,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    let mut runner = Runner {
-        catalog: Catalog::new(),
-        views: BTreeMap::new(),
+    let lines = source_lines(src, 0);
+    let (declarations, i) = declare_lines(&lines)?;
+    run_commands(
+        declarations,
+        &lines[i..],
+        src.lines().count(),
+        options,
         engine,
-        delta: DeltaWorkload::new(),
-        jobs: options.jobs,
-        report: String::new(),
-        yes: 0,
-        no: 0,
-        standing_lines: Vec::new(),
-        permute_seed: None,
-        rel_buffer: Vec::new(),
-    };
-    let err = |line: usize, msg: String| ScenarioError { line, msg };
+    )
+}
 
-    let lines: Vec<Line<'_>> = src
-        .lines()
+/// The declaration phase: run the leading `rel` and `view` declarations
+/// of `src`, up to its first other command. Returns them and the source
+/// after them, which starts a line unless the declarations end the
+/// source. A `catalog permute` directive is a command, so a source that
+/// opens with one has no declarations.
+pub fn declare(src: &str) -> Result<(Declarations, &str), ScenarioError> {
+    let (declarations, _) = declare_lines(&source_lines(src, 0))?;
+    let prefix = src
+        .split_inclusive('\n')
+        .take(declarations.lines)
+        .map(str::len)
+        .sum();
+    Ok((declarations, &src[prefix..]))
+}
+
+/// The command phase: run `rest`, the source that followed `declarations`
+/// (see [`declare`]), from their state. The transcript, counts and errors
+/// equal those of the whole source through [`run_scenario_with_engine`];
+/// error line numbers count from the start of the whole source.
+pub fn run_declared(
+    declarations: Declarations,
+    rest: &str,
+    options: &ScenarioOptions,
+    engine: &Engine,
+) -> Result<ScenarioOutcome, ScenarioError> {
+    let lines = source_lines(rest, declarations.lines);
+    let end = declarations.lines + rest.lines().count();
+    run_commands(declarations, &lines, end, options, engine)
+}
+
+/// The nonempty lines of `src`, comments stripped, numbered from
+/// `offset + 1`.
+fn source_lines(src: &str, offset: usize) -> Vec<Line<'_>> {
+    src.lines()
         .enumerate()
-        .map(|(i, raw)| (i + 1, strip_comment(raw).trim()))
+        .map(|(i, raw)| (offset + i + 1, strip_comment(raw).trim()))
         .filter(|(_, line)| !line.is_empty())
-        .collect();
-    let mut i = 0usize;
-    while let Some(&(lineno, line)) = lines.get(i) {
-        i += 1;
-        let (head, rest) = split_word(line);
-        // Any command other than `rel` flushes buffered (to-be-permuted)
-        // declarations first, so views and checks see a complete catalog.
-        if head != "rel" {
-            runner.flush_rels().map_err(|m| err(lineno, m))?;
-        }
-        match head {
-            "rel" => runner.cmd_rel(rest).map_err(|m| err(lineno, m))?,
-            "catalog" => runner.cmd_catalog(rest).map_err(|m| err(lineno, m))?,
-            "view" | "edit" => {
-                let name = block_name(head, line, rest).map_err(|m| err(lineno, m))?;
-                let body = block(&lines, &mut i)
-                    .ok_or_else(|| err(lineno, format!("{head} `{name}` is never closed")))?;
-                match head {
-                    "view" => runner.cmd_view(name, body),
-                    _ => runner.cmd_edit(lineno, name, body),
-                }
-                .map_err(|(l, m)| err(l, m))?;
-            }
-            "check" => runner.cmd_check(rest).map_err(|m| err(lineno, m))?,
-            "recheck" => {
-                if !rest.is_empty() {
-                    return Err(err(lineno, "recheck takes no arguments".into()));
-                }
-                runner.cmd_recheck().map_err(|m| err(lineno, m))?;
-            }
-            "batch" | "txn" => {
-                if rest != "{" {
-                    return Err(err(lineno, format!("expected `{head} {{`")));
-                }
-                let body = match head {
-                    "batch" => block(&lines, &mut i),
-                    _ => txn_block(&lines, &mut i),
-                }
-                .ok_or_else(|| err(lineno, format!("{head} block is never closed")))?;
-                match head {
-                    "batch" => runner.cmd_batch(body),
-                    _ => runner.cmd_txn(lineno, body),
-                }
-                .map_err(|(l, m)| err(l, m))?;
-            }
-            "nonredundant" => runner.cmd_nonredundant(rest).map_err(|m| err(lineno, m))?,
-            "simplify" => runner.cmd_simplify(rest).map_err(|m| err(lineno, m))?,
-            "frontier" => runner.cmd_frontier(rest).map_err(|m| err(lineno, m))?,
-            "diff" => runner.cmd_diff(rest).map_err(|m| err(lineno, m))?,
-            other => return Err(err(lineno, format!("unknown command `{other}`"))),
-        }
-    }
+        .collect()
+}
+
+/// Run the declaration phase over `lines`; also returns the index of the
+/// first line it left to the command phase.
+fn declare_lines(lines: &[Line<'_>]) -> Result<(Declarations, usize), ScenarioError> {
+    let mut runner = Runner::new(Declarations::default(), 1);
+    let i = runner.run(lines, None)?;
+    let declarations = Declarations {
+        catalog: runner.catalog,
+        views: runner.views,
+        report: runner.report,
+        lines: i.checked_sub(1).map_or(0, |last| lines[last].0),
+    };
+    Ok((declarations, i))
+}
+
+/// Run the command phase over `lines`, the source's last line being
+/// `end`.
+fn run_commands(
+    declarations: Declarations,
+    lines: &[Line<'_>],
+    end: usize,
+    options: &ScenarioOptions,
+    engine: &Engine,
+) -> Result<ScenarioOutcome, ScenarioError> {
+    let mut runner = Runner::new(declarations, options.jobs);
+    runner.run(lines, Some(engine))?;
     runner
         .flush_rels()
-        .map_err(|m| err(src.lines().count(), m))?;
+        .map_err(|msg| ScenarioError { line: end, msg })?;
     Ok(ScenarioOutcome {
         report: runner.report,
         yes: runner.yes,
         no: runner.no,
-        stats: runner.engine.cache_stats(),
-        enum_stats: runner.engine.enum_stats(),
+        stats: engine.cache_stats(),
+        enum_stats: engine.enum_stats(),
         metrics: viewcap_obs::snapshot(),
         catalog: runner.catalog,
     })
@@ -419,7 +448,99 @@ fn split_word(line: &str) -> (&str, &str) {
     }
 }
 
-impl Runner<'_> {
+impl Runner {
+    fn new(declarations: Declarations, jobs: usize) -> Runner {
+        let Declarations {
+            catalog,
+            views,
+            report,
+            lines: _,
+        } = declarations;
+        Runner {
+            catalog,
+            views,
+            delta: DeltaWorkload::new(),
+            jobs,
+            report,
+            yes: 0,
+            no: 0,
+            standing_lines: Vec::new(),
+            permute_seed: None,
+            rel_buffer: Vec::new(),
+        }
+    }
+
+    /// The one command loop: run `lines` in order and return how many it
+    /// ran. Without an engine it is the declaration phase, which stops
+    /// before the first line that is not a `rel` or `view` declaration.
+    fn run(&mut self, lines: &[Line<'_>], engine: Option<&Engine>) -> Result<usize, ScenarioError> {
+        let err = |line: usize, msg: String| ScenarioError { line, msg };
+        let mut i = 0usize;
+        while let Some(&(lineno, line)) = lines.get(i) {
+            i += 1;
+            let (head, rest) = split_word(line);
+            // Any command other than `rel` flushes buffered (to-be-permuted)
+            // declarations first, so views and checks see a complete catalog.
+            if head != "rel" {
+                self.flush_rels().map_err(|m| err(lineno, m))?;
+            }
+            match (head, engine) {
+                ("rel", _) => self.cmd_rel(rest).map_err(|m| err(lineno, m))?,
+                ("view", _) | ("edit", Some(_)) => {
+                    let name = block_name(head, line, rest).map_err(|m| err(lineno, m))?;
+                    let body = block(lines, &mut i)
+                        .ok_or_else(|| err(lineno, format!("{head} `{name}` is never closed")))?;
+                    match head {
+                        "view" => self.cmd_view(name, body),
+                        _ => self.cmd_edit(lineno, name, body),
+                    }
+                    .map_err(|(l, m)| err(l, m))?;
+                }
+                // The declaration phase ends at the first command.
+                (_, None) => return Ok(i - 1),
+                ("catalog", _) => self.cmd_catalog(rest).map_err(|m| err(lineno, m))?,
+                ("check", Some(engine)) => {
+                    self.cmd_check(engine, rest).map_err(|m| err(lineno, m))?
+                }
+                ("recheck", Some(engine)) => {
+                    if !rest.is_empty() {
+                        return Err(err(lineno, "recheck takes no arguments".into()));
+                    }
+                    self.cmd_recheck(engine).map_err(|m| err(lineno, m))?;
+                }
+                ("batch" | "txn", Some(engine)) => {
+                    if rest != "{" {
+                        return Err(err(lineno, format!("expected `{head} {{`")));
+                    }
+                    let body = match head {
+                        "batch" => block(lines, &mut i),
+                        _ => txn_block(lines, &mut i),
+                    }
+                    .ok_or_else(|| err(lineno, format!("{head} block is never closed")))?;
+                    match head {
+                        "batch" => self.cmd_batch(engine, body),
+                        _ => self.cmd_txn(lineno, body),
+                    }
+                    .map_err(|(l, m)| err(l, m))?;
+                }
+                ("nonredundant", Some(engine)) => self
+                    .cmd_nonredundant(engine, rest)
+                    .map_err(|m| err(lineno, m))?,
+                ("simplify", Some(engine)) => self
+                    .cmd_simplify(engine, rest)
+                    .map_err(|m| err(lineno, m))?,
+                ("frontier", Some(engine)) => self
+                    .cmd_frontier(engine, rest)
+                    .map_err(|m| err(lineno, m))?,
+                ("diff", Some(engine)) => {
+                    self.cmd_diff(engine, rest).map_err(|m| err(lineno, m))?
+                }
+                (other, _) => return Err(err(lineno, format!("unknown command `{other}`"))),
+            }
+        }
+        Ok(i)
+    }
+
     fn view(&self, name: &str) -> Result<&View, String> {
         self.views
             .get(name)
@@ -548,9 +669,10 @@ impl Runner<'_> {
         }
         let view = View::from_exprs(pairs, &self.catalog)
             .map_err(|e| (body.first().map_or(0, |(l, _)| *l), e.to_string()))?;
-        // Warm the content-key memos now: every later check clones this
-        // view, and clones inherit the filled caches, so fingerprinting a
-        // whole workload against it costs one canonicalization per query.
+        // Warm the content-key memos now: every later check, and every
+        // copy of these declarations, shares this view's pairs and so the
+        // filled memos, so fingerprinting a whole workload against it costs
+        // one canonicalization per query.
         let _ = viewcap_engine::view_fingerprint(&view, &self.catalog);
         let _ = writeln!(
             self.report,
@@ -630,10 +752,9 @@ impl Runner<'_> {
         }
     }
 
-    fn cmd_check(&mut self, rest: &str) -> Result<(), String> {
+    fn cmd_check(&mut self, engine: &Engine, rest: &str) -> Result<(), String> {
         let (label, check) = self.parse_check(rest)?;
-        let decision = self
-            .engine
+        let decision = engine
             .decide(&check, &self.catalog)
             .map_err(|e| e.to_string())?;
         self.record_standing(label, check, decision);
@@ -643,7 +764,7 @@ impl Runner<'_> {
     /// Run a `batch { ... }` block through the engine: every line is a
     /// `check` command; the block is deduplicated, answered from the
     /// verdict cache where possible, and the rest computed in parallel.
-    fn cmd_batch(&mut self, body: &[Line<'_>]) -> Result<(), (usize, String)> {
+    fn cmd_batch(&mut self, engine: &Engine, body: &[Line<'_>]) -> Result<(), (usize, String)> {
         let mut workload = Workload::new();
         for (lineno, entry) in body {
             let (head, rest) = split_word(entry);
@@ -656,7 +777,7 @@ impl Runner<'_> {
             let (label, check) = self.parse_check(rest).map_err(|m| (*lineno, m))?;
             workload.push(label, check);
         }
-        let outcome = self.engine.run_batch(&workload, &self.catalog, self.jobs);
+        let outcome = engine.run_batch(&workload, &self.catalog, self.jobs);
         // `body` and `workload.requests` are zipped 1:1, so errors point at
         // the failing check's own line.
         for ((lineno, _), (request, result)) in body
@@ -862,8 +983,8 @@ impl Runner<'_> {
     /// exactly what rendering it again would produce; only the positions
     /// the run recomputed ([`viewcap_engine::DeltaOutcome::recomputed_at`])
     /// are rendered again before every stored line is written.
-    fn cmd_recheck(&mut self) -> Result<(), String> {
-        let outcome = self.delta.run(self.engine, &self.catalog, self.jobs);
+    fn cmd_recheck(&mut self, engine: &Engine) -> Result<(), String> {
+        let outcome = self.delta.run(engine, &self.catalog, self.jobs);
         let requests: Vec<&Request> = self.delta.requests().collect();
         for &i in &outcome.recomputed_at {
             let decision = outcome.results[i].as_ref().map_err(|e| e.to_string())?;
@@ -884,11 +1005,10 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn cmd_nonredundant(&mut self, rest: &str) -> Result<(), String> {
+    fn cmd_nonredundant(&mut self, engine: &Engine, rest: &str) -> Result<(), String> {
         let name = rest.trim();
         let view = self.view(name)?.clone();
-        let decision = self
-            .engine
+        let decision = engine
             .nonredundant(&view, &self.catalog)
             .map_err(|e| e.to_string())?;
         let Verdict::Nonredundant(kept) = &*decision.verdict else {
@@ -911,11 +1031,10 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn cmd_simplify(&mut self, rest: &str) -> Result<(), String> {
+    fn cmd_simplify(&mut self, engine: &Engine, rest: &str) -> Result<(), String> {
         let name = rest.trim();
         let view = self.view(name)?.clone();
-        let decision = self
-            .engine
+        let decision = engine
             .simplify(&view, &self.catalog)
             .map_err(|e| e.to_string())?;
         let Verdict::Simplified(schemes) = &*decision.verdict else {
@@ -941,12 +1060,11 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn cmd_frontier(&mut self, rest: &str) -> Result<(), String> {
+    fn cmd_frontier(&mut self, engine: &Engine, rest: &str) -> Result<(), String> {
         let (vname, k_src) = split_word(rest);
         let view = self.view(vname)?;
         let k = atom_bound(k_src)?;
-        let members = self
-            .engine
+        let members = engine
             .members(view, k, &self.catalog)
             .map_err(|e| e.to_string())?;
         let _ = writeln!(
@@ -977,13 +1095,13 @@ impl Runner<'_> {
     /// (`+` lines, gained). Equals the set difference of two `frontier`
     /// sweeps, each through the engine's pooled context for its view, so
     /// repeated or growing-`K` diffs pay only the incremental enumeration.
-    fn cmd_diff(&mut self, rest: &str) -> Result<(), String> {
+    fn cmd_diff(&mut self, engine: &Engine, rest: &str) -> Result<(), String> {
         let (a, rest) = split_word(rest);
         let (b, k_src) = split_word(rest);
         let (left, right) = (self.view(a)?, self.view(b)?);
         let k = atom_bound(k_src)?;
         let members = |view| {
-            self.engine
+            engine
                 .members(view, k, &self.catalog)
                 .map_err(|e| e.to_string())
         };
@@ -1438,6 +1556,89 @@ simplify V
             seq_out.report
         );
         assert_eq!((txn_out.yes, txn_out.no), (seq_out.yes, seq_out.no));
+    }
+
+    /// What a run shows: its report, answer counts and final relation
+    /// names, or its `line N: msg` error.
+    type Shown = Result<(String, usize, usize, Vec<String>), String>;
+
+    fn shown(run: Result<ScenarioOutcome, ScenarioError>) -> Shown {
+        run.map(|out| {
+            let names = out
+                .catalog
+                .relations()
+                .map(|r| out.catalog.rel_name(r).to_owned())
+                .collect();
+            (out.report, out.yes, out.no, names)
+        })
+        .map_err(|e| e.to_string())
+    }
+
+    /// Run `src` as a daemon holding another source's declarations does:
+    /// declare a *different* source with the same prologue, then run the
+    /// rest of `src` from its declarations.
+    fn reusing(src: &str) -> Result<ScenarioOutcome, ScenarioError> {
+        let (_, rest) = declare(src)?;
+        let prefix = &src[..src.len() - rest.len()];
+        let (held, _) = declare(&format!("{prefix}\ncheck member Elsewhere R\n"))?;
+        run_declared(held, rest, &ScenarioOptions::default(), &Engine::new())
+    }
+
+    #[test]
+    fn the_declaration_split_changes_nothing() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "vcap"))
+            .collect();
+        paths.sort();
+        let mut sources: Vec<String> = paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).unwrap())
+            .collect();
+        assert!(sources.len() >= 8);
+        let spec = viewcap_gen::FleetSpec {
+            views: 8,
+            base_rels: 3,
+            events: 40,
+            batch_size: 3,
+            ..Default::default()
+        };
+        for seed in [1, 7, 20261016] {
+            let stream = viewcap_gen::fleet_stream(seed, &spec);
+            assert!(stream.txns > 0, "seed {seed}");
+            sources.push(stream.source);
+        }
+        let prologue = "# the schema\nrel R(A, B, C)\n\n  # and its views\n\
+                        view V {\n  X = pi{A,B}(R)   # one pair\n\n}\n\
+                        view W {\n  L = pi{A,B}(R)\n  M = pi{B,C}(R)\n}\n";
+        let checks = "check member V pi{A}(R)\ncheck dominates W V\nsimplify W\n";
+        let permuted = format!("catalog permute 3\n{prologue}{checks}");
+        let duplicate = format!("{prologue}view W {{\n  L = pi{{A,B}}(R)\n}}\n{checks}");
+        let unknown = format!("{prologue}{checks}check member Nowhere R\n");
+        sources.extend([
+            format!("{prologue}{checks}"),
+            format!("{prologue}rel S(D)\nview U {{\n  Z = S\n}}\n{checks}check member U S\n"),
+            prologue.to_owned(),
+            prologue.trim_end().to_owned(),
+            permuted.clone(),
+            duplicate.clone(),
+            unknown.clone(),
+        ]);
+        for src in &sources {
+            assert_eq!(shown(reusing(src)), shown(run_scenario(src)), "{src}");
+        }
+        // `catalog permute` is a command, so nothing before it is declared
+        // and nothing is there to reuse.
+        let (declarations, rest) = declare(&permuted).unwrap();
+        assert_eq!((declarations.lines, rest), (0, permuted.as_str()));
+        // Errors keep the whole source's line numbers on both paths.
+        let line = |src: &str| reusing(src).unwrap_err().line;
+        assert_eq!((line(&duplicate), line(&unknown)), (14, 16));
+        let (declarations, rest) = declare(&unknown).unwrap();
+        assert_eq!(declarations.lines, 12);
+        assert!(rest.starts_with("check member V"), "{rest}");
     }
 
     #[test]

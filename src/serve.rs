@@ -4,12 +4,24 @@
 //! The daemon answers scenario requests with a line-delimited protocol.
 //! One process hosts many catalogs: scenarios declare their own catalogs,
 //! and warm verdict caches are keyed by a *client-supplied* catalog key,
-//! so independent fleets share one resident service. The only state the
-//! daemon shares across requests is the per-key [`VerdictCache`] and
-//! space library (safe: fingerprints are catalog-content-addressed);
-//! engines — whose context pools hold catalog-bound ids — are built per
-//! request. At most [`MAX_WARM_KEYS`] keys stay warm: past that, the
-//! least-recently-used key is dropped, and its next request reloads it.
+//! so independent fleets share one resident service. A warm key holds
+//! three things across requests:
+//!
+//! - its [`VerdictCache`] and space library (safe to share:
+//!   fingerprints are catalog-content-addressed);
+//! - the [`Declarations`] its last rebuilt request's leading `rel`/`view`
+//!   lines produced, next to the exact source bytes they came from. A
+//!   request whose source starts with those bytes starts from a copy of
+//!   them instead of declaring its catalog again, and its transcript is
+//!   byte-identical. Any other request declares afresh, and its
+//!   declarations replace the held ones when they end on a line break
+//!   (an empty prologue ends on none, so it holds nothing). A prologue
+//!   that errors is never held.
+//!
+//! Engines, whose context pools hold catalog-bound ids, are built per
+//! request. `cold` requests share nothing at all. At most
+//! [`MAX_WARM_KEYS`] keys stay warm: past that, the least-recently-used
+//! key is dropped, and its next request reloads it.
 //!
 //! ## Protocol
 //!
@@ -54,10 +66,13 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::scenario::{run_scenario_with_engine, ScenarioOptions};
+use crate::scenario::{
+    declare, run_declared, run_scenario_with_engine, Declarations, ScenarioOptions,
+};
 use viewcap_engine::{
     effective_jobs, Engine, EngineConfig, Lru, PileRecords, PileStore, PileStoreError,
     SpaceLibrary, VerdictCache,
@@ -141,14 +156,24 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// One warm catalog key's state: its verdict cache and space library.
-/// Both are seeded from the pile on first use; every warm request's grown
+static DECLARE_BUILD: viewcap_obs::Counter = viewcap_obs::Counter::new("serve.declare.build");
+static DECLARE_REUSE: viewcap_obs::Counter = viewcap_obs::Counter::new("serve.declare.reuse");
+
+/// One warm catalog key's state: its verdict cache and space library,
+/// and the declarations its requests start from. The cache and library
+/// are seeded from the pile on first use; every warm request's grown
 /// spaces are harvested back, so a restarted daemon skips the enumeration
 /// rebuild, not just the verdict recompute.
 #[derive(Clone)]
 struct Warm {
     cache: Arc<VerdictCache>,
     spaces: Arc<Mutex<SpaceLibrary>>,
+    /// The source prefix a request declared, and what it declared.
+    declared: Option<Arc<(String, Declarations)>>,
+    /// Requests that started from `declared`.
+    reused: u64,
+    /// Requests that ran their declarations afresh.
+    built: u64,
 }
 
 /// Shared daemon state: warm catalogs and the (optional) pile handle.
@@ -158,18 +183,35 @@ struct Daemon {
     warm: Mutex<Lru<String, Warm>>,
     pile: Option<Mutex<PileStore>>,
     cache_max: Option<usize>,
-    served: Mutex<u64>,
+    served: AtomicU64,
 }
 
 impl Daemon {
+    fn warm_keys(&self) -> MutexGuard<'_, Lru<String, Warm>> {
+        self.warm.lock().expect("warm lock")
+    }
+
     /// The warm state for `key`, created on first use — seeded from the
     /// pile when a pile is configured. A pile whose space records fail to
     /// load seeds an empty library instead of failing the request:
-    /// hydration is an optimization, never correctness.
-    fn warm(&self, key: &str) -> Result<Warm, ServeError> {
-        let mut warm = self.warm.lock().expect("warm lock");
+    /// hydration is an optimization, never correctness. The held
+    /// declarations are returned only when `source` starts with their
+    /// bytes, and are counted as reused.
+    fn warm(&self, key: &str, source: &str) -> Result<Warm, ServeError> {
+        let mut warm = self.warm_keys();
         if let Some(state) = warm.get(key) {
-            return Ok(state.clone());
+            let declared = state
+                .declared
+                .clone()
+                .filter(|held| source.starts_with(held.0.as_str()));
+            if declared.is_some() {
+                state.reused += 1;
+                DECLARE_REUSE.add(1);
+            }
+            return Ok(Warm {
+                declared,
+                ..state.clone()
+            });
         }
         // No pile loads like an empty one: a fresh bounded cache, no spaces.
         let records = match &self.pile {
@@ -181,6 +223,9 @@ impl Daemon {
         let state = Warm {
             cache: Arc::new(records.load(self.cache_max).map_err(pile_err)?),
             spaces: Arc::new(Mutex::new(records.load_spaces().unwrap_or_default())),
+            declared: None,
+            reused: 0,
+            built: 0,
         };
         warm.insert(key.to_owned(), state.clone());
         while warm.len() > MAX_WARM_KEYS {
@@ -189,29 +234,64 @@ impl Daemon {
         Ok(state)
     }
 
+    /// Count a warm request on `key` that declared afresh, and hold what it
+    /// declared from `prefix` for the requests after it. Only a prefix that
+    /// ends on a line break is held, so a source that extends it starts
+    /// its commands on a line of their own.
+    fn hold(&self, key: &str, prefix: &str, declarations: &Declarations) {
+        DECLARE_BUILD.add(1);
+        let held = prefix
+            .ends_with('\n')
+            .then(|| Arc::new((prefix.to_owned(), declarations.clone())));
+        if let Some(state) = self.warm_keys().get(key) {
+            state.built += 1;
+            state.declared = held;
+        }
+    }
+
     /// Answer one `RUN`: build the request's engine, run the scenario,
     /// append the verdicts to the pile. Returns the exact batch-CLI
     /// stdout, or the scenario error text.
     fn run(&self, source: &str, jobs: usize, warm_key: Option<&str>) -> Result<String, String> {
-        let engine = match warm_key {
-            Some(key) => {
-                let Warm { cache, spaces } = self.warm(key).map_err(|e| e.to_string())?;
-                Engine::from_config(
-                    EngineConfig::new()
-                        .shared_cache(cache)
-                        .shared_spaces(spaces),
-                )
-                .map_err(|e| e.to_string())?
-            }
-            None => Engine::new(),
-        };
         // `jobs` comes off the wire; transcripts are `--jobs`-invariant,
         // so clamping it to the host's cores only caps the thread count.
         let options = ScenarioOptions {
             jobs: jobs.min(effective_jobs(0)),
         };
-        let outcome =
-            run_scenario_with_engine(source, &options, &engine).map_err(|e| e.to_string())?;
+        let engine;
+        let outcome = match warm_key {
+            None => {
+                engine = Engine::new();
+                run_scenario_with_engine(source, &options, &engine)
+            }
+            Some(key) => {
+                let Warm {
+                    cache,
+                    spaces,
+                    declared,
+                    ..
+                } = self.warm(key, source).map_err(|e| e.to_string())?;
+                engine = Engine::from_config(
+                    EngineConfig::new()
+                        .shared_cache(cache)
+                        .shared_spaces(spaces),
+                )
+                .map_err(|e| e.to_string())?;
+                match declared {
+                    Some(held) => {
+                        let (prefix, declarations) = &*held;
+                        let rest = &source[prefix.len()..];
+                        run_declared(declarations.clone(), rest, &options, &engine)
+                    }
+                    None => {
+                        let (declarations, rest) = declare(source).map_err(|e| e.to_string())?;
+                        self.hold(key, &source[..source.len() - rest.len()], &declarations);
+                        run_declared(declarations, rest, &options, &engine)
+                    }
+                }
+            }
+        }
+        .map_err(|e| e.to_string())?;
         // Fold the request's grown candidate spaces back into the warm
         // library before persisting anything, so the pile append below
         // carries them too.
@@ -222,7 +302,7 @@ impl Daemon {
                 .append_run(&engine, &outcome.catalog, spaces_grew)
                 .map_err(|e| format!("pile append failed: {e}"))?;
         }
-        *self.served.lock().expect("served lock") += 1;
+        self.served.fetch_add(1, Ordering::Relaxed);
         Ok(format!(
             "{}-- {} check(s) answered YES, {} answered NO\n",
             outcome.report, outcome.yes, outcome.no
@@ -230,10 +310,10 @@ impl Daemon {
     }
 
     fn stats(&self) -> String {
-        let warm = self.warm.lock().expect("warm lock");
+        let warm = self.warm_keys();
         let mut body = format!(
             "served: {}\nwarm catalogs: {}\n",
-            self.served.lock().expect("served lock"),
+            self.served.load(Ordering::Relaxed),
             warm.len()
         );
         let mut keys: Vec<_> = warm.iter().collect();
@@ -244,6 +324,12 @@ impl Daemon {
         for (key, state) in &keys {
             let library = state.spaces.lock().expect("space library lock");
             body.push_str(&format!("spaces[{key}]: {} space(s)\n", library.len()));
+        }
+        for (key, state) in &keys {
+            body.push_str(&format!(
+                "declared[{key}]: {} reused, {} built\n",
+                state.reused, state.built
+            ));
         }
         if let Some(pile) = &self.pile {
             match pile.lock().expect("pile lock").records() {
@@ -284,7 +370,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
         warm: Mutex::default(),
         pile,
         cache_max: config.cache_max,
-        served: Mutex::new(0),
+        served: AtomicU64::new(0),
     };
 
     // A stale socket file from a killed daemon would fail the bind.

@@ -3,11 +3,16 @@
 //! Every shipped `scenarios/*.vcap` file and a small fleet stream with
 //! `txn` blocks are mutated (bytes deleted, replaced, inserted or
 //! duplicated) and run. Each run must return, `Ok` with a report or `Err`
-//! with a `line N: …` error, without panicking.
+//! with a `line N: …` error, without panicking. Starting from another
+//! source's declarations of the same prologue must not change what it
+//! returns.
 
 use proptest::prelude::*;
 use std::path::Path;
-use viewcap::scenario::run_scenario;
+use viewcap::scenario::{
+    declare, run_declared, run_scenario, ScenarioError, ScenarioOptions, ScenarioOutcome,
+};
+use viewcap_engine::Engine;
 use viewcap_gen::{fleet_stream, FleetSpec};
 
 /// The sources mutations start from.
@@ -36,6 +41,31 @@ fn corpus() -> Vec<String> {
         .unwrap();
     sources.push(stream.source);
     sources
+}
+
+/// What a run shows: its report, answer counts and final relation names,
+/// or its `line N: msg` error.
+type Shown = Result<(String, usize, usize, Vec<String>), String>;
+
+fn shown(run: Result<ScenarioOutcome, ScenarioError>) -> Shown {
+    run.map(|out| {
+        let names = out
+            .catalog
+            .relations()
+            .map(|r| out.catalog.rel_name(r).to_owned())
+            .collect();
+        (out.report, out.yes, out.no, names)
+    })
+    .map_err(|e| e.to_string())
+}
+
+/// Run `src` from the declarations of a different source with the same
+/// prologue, as a daemon holding them does.
+fn reusing(src: &str) -> Result<ScenarioOutcome, ScenarioError> {
+    let (_, rest) = declare(src)?;
+    let prefix = &src[..src.len() - rest.len()];
+    let (held, _) = declare(&format!("{prefix}\ncheck member Elsewhere R\n"))?;
+    run_declared(held, rest, &ScenarioOptions::default(), &Engine::new())
 }
 
 /// Bytes that shape scenario syntax, plus a few plain ones.
@@ -77,7 +107,9 @@ proptest! {
         }
         // A cut through a multi-byte character becomes U+FFFD.
         let src = String::from_utf8_lossy(&src).into_owned();
-        let ran = std::panic::catch_unwind(|| run_scenario(&src).map(|out| out.report));
+        let ran = std::panic::catch_unwind(|| (shown(run_scenario(&src)), shown(reusing(&src))));
         prop_assert!(ran.is_ok(), "run_scenario panicked on:\n{src}");
+        let (whole, reused) = ran.unwrap();
+        prop_assert_eq!(reused, whole, "the declaration split changed a run of:\n{}", src);
     }
 }

@@ -4,8 +4,10 @@
 //! the daemon is a residency optimization, never a semantic fork.
 //!
 //! Also pinned here: warm mode preserves every verdict (only cache
-//! provenance may differ), the daemon's stats count requests, and shutdown
-//! is clean — a recovery pass over the daemon's pile drops zero bytes.
+//! provenance may differ), a warm key reuses held declarations only for
+//! a source that starts with their bytes, the daemon's stats count
+//! requests, and shutdown is clean — a recovery pass over the daemon's
+//! pile drops zero bytes.
 #![cfg(unix)]
 
 use std::path::{Path, PathBuf};
@@ -142,6 +144,11 @@ fn client_transcripts_are_byte_identical_to_the_batch_cli() {
         "stats must count {served} runs:\n{stats_text}"
     );
     assert!(stats_text.contains("warm[fleet]:"), "stats:\n{stats_text}");
+    // The second warm request started from the first one's declarations.
+    assert!(
+        stats_text.contains("declared[fleet]: 1 reused, 1 built\n"),
+        "stats:\n{stats_text}"
+    );
     assert!(stats_text.contains("pile records:"), "stats:\n{stats_text}");
 
     // Clean shutdown: daemon exits 0, removes its socket, and leaves a
@@ -368,4 +375,87 @@ fn run_clamps_its_worker_count() {
         .strip_prefix(&format!("OK {}\n", direct.stdout.len()))
         .unwrap_or_else(|| panic!("unexpected response {response:?}"));
     assert_eq!(body.as_bytes(), direct.stdout);
+}
+
+#[test]
+fn warm_requests_share_declarations() {
+    use std::sync::{Arc, Mutex};
+    use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
+    use viewcap_engine::{Engine, EngineConfig, SpaceLibrary, VerdictCache};
+
+    let dir = scratch();
+    let socket = dir.join("declare.sock");
+    let pile = dir.join("declare.vcappile");
+    let _ = std::fs::remove_file(&pile);
+    let _daemon = start_daemon(&socket, &pile);
+
+    let prologue = "# shared catalog\nrel R(A, B, C)\n\n\
+                    view V {\n  X = pi{A,B}(R)\n}\n\
+                    view W {\n  L = pi{A,B}(R)\n  M = pi{B,C}(R)\n}\n";
+    let a = format!("{prologue}check member V pi{{A}}(R)\ncheck dominates W V\n");
+    let b = format!("{prologue}check equivalent V W\ncheck member W pi{{A,C}}(R)\nsimplify W\n");
+    let c = format!(
+        "{prologue}view U {{\n  Y = pi{{B,C}}(R)\n}}\ncheck member U pi{{B}}(R)\n\
+         check member V pi{{A}}(R)\n"
+    );
+    // One defining query changed: held declarations reused here would
+    // print `YES via pi{A}(X)` where a fresh run prints `YES via X`.
+    let d = a.replace("X = pi{A,B}(R)", "X = pi{A}(R)");
+    assert_ne!(a, d);
+    let e = format!("{prologue}view W {{\n  L = pi{{A,B}}(R)\n}}\ncheck member V R\n");
+    // Built, reused, reused (one more view after the prologue), built (a
+    // changed prologue), refused (its prologue errors), reused (D's
+    // declarations outlive E's error).
+    let requests = [&a, &b, &c, &d, &e, &d];
+
+    // The same order in process, on engines sharing one cache and space
+    // library as the daemon's warm key does.
+    let cache = Arc::new(VerdictCache::new());
+    let spaces = Arc::new(Mutex::new(SpaceLibrary::new()));
+    let mut responses = Vec::new();
+    for (i, source) in requests.iter().enumerate() {
+        let engine = Engine::from_config(
+            EngineConfig::new()
+                .shared_cache(Arc::clone(&cache))
+                .shared_spaces(Arc::clone(&spaces)),
+        )
+        .unwrap();
+        let replay = run_scenario_with_engine(source, &ScenarioOptions::default(), &engine)
+            .map(|out| {
+                engine.harvest_spaces();
+                format!(
+                    "{}-- {} check(s) answered YES, {} answered NO\n",
+                    out.report, out.yes, out.no
+                )
+            })
+            .map_err(|err| format!("{err}\n"));
+        let response = raw_request(&socket, &format!("RUN 1 warm:k {}\n{source}", source.len()));
+        let expected = match &replay {
+            Ok(body) => format!("OK {}\n{body}", body.len()),
+            Err(msg) => format!("ERR {}\n{msg}", msg.len()),
+        };
+        assert_eq!(response, expected, "request {i}:\n{source}");
+        responses.push(response);
+    }
+    let witness = "check member V pi{A}(R): YES via";
+    assert!(responses[0].contains(&format!("{witness} pi{{A}}(X)\n")));
+    assert!(responses[3].contains(&format!("{witness} X\n")));
+
+    // E's error is the batch CLI's.
+    let path = dir.join("declare-e.vcap");
+    std::fs::write(&path, &e).unwrap();
+    let batch = run_cli(&["--jobs", "1"], &[&path]);
+    assert!(!batch.status.success());
+    let err = viewcap::scenario::run_scenario(&e).unwrap_err();
+    assert_eq!(err.line, 12, "{err}");
+    assert_eq!(
+        String::from_utf8_lossy(&batch.stderr),
+        format!("viewcap-cli: {err}\n")
+    );
+
+    let stats = raw_request(&socket, "STATS\n");
+    assert!(
+        stats.contains("declared[k]: 3 reused, 2 built\n"),
+        "stats:\n{stats}"
+    );
 }
